@@ -1,10 +1,10 @@
 """Command-line pipeline: solve | flow | verify | spectrum.
 
 Exit codes: 0 success, 2 config error, 3 no linking window, 4 not converged
-(including failed structural hypotheses), 5 invariance violation.  All
-randomness flows from the config seed through a fixed spawn order:
-0 hypothesis sampling, 1 mu0 fitting and the invariance check, 2 frame scans,
-3 minimax.  Artifacts carry the hex digest of the canonicalized config text;
+(including failed structural hypotheses and numerical failures), 5 invariance
+violation.  All randomness flows from the config seed through a fixed spawn
+order: 0 hypothesis sampling, 1 mu0 fitting and the invariance check, 2 frame
+scans, 3 minimax.  Artifacts carry the hex digest of the canonicalized config text;
 --out chooses the destination directory and does not enter the hash.
 """
 
@@ -20,10 +20,11 @@ import time
 import numpy as np
 
 from ._serial import dumps
-from .cones import check_schauder, fit_mu0
+from .cones import ProjectionError, check_schauder, fit_mu0
 from .config import ConfigError, RunConfig, load_config
-from .energy import EnergyProblem, energy, ps_monitor, slope, slope_on_set
-from .flow import (Termination, integrate_flow, load_checkpoint,
+from .energy import (EnergyProblem, SlopeError, energy, ps_monitor, slope,
+                     slope_on_set)
+from .flow import (FlowError, Termination, integrate_flow, load_checkpoint,
                    monitor_invariance, resume_flow)
 from .linking import (GapViolation, InvarianceViolation, NoLinkingWindow,
                       NotConverged, build_frame, minimax_iterate)
@@ -322,6 +323,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (ProjectionError, SlopeError, FlowError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

@@ -125,36 +125,6 @@ def region_of(space: DiscreteSpace, u: np.ndarray, mu0: float,
     return RegionLabel.SIGN_CHANGING
 
 
-def project_neighborhood(space: DiscreteSpace, z: np.ndarray, sign: int, mu: float) -> np.ndarray:
-    """A-metric projection onto D^sign(mu); closed form from the cone projection."""
-    pr = project_cone(space, z, sign)
-    if pr.distance <= mu:
-        return z.copy()
-    return pr.projection + (mu / pr.distance) * pr.residual
-
-
-def project_overlap(space: DiscreteSpace, z: np.ndarray, mu: float,
-                    tol: float = 1e-10, max_iter: int = 4000) -> np.ndarray:
-    """Dykstra alternation between D^+(mu) and D^-(mu).
-
-    Converges slowly for points far from the intersection; none of the solver
-    paths depend on it (the set-relative slope works through support
-    functions), it exists for diagnostics on the overlap region."""
-    x = z.copy()
-    p = np.zeros_like(z)
-    q = np.zeros_like(z)
-    for _ in range(max_iter):
-        y = project_neighborhood(space, x + p, 1, mu)
-        p = x + p - y
-        x_new = project_neighborhood(space, y + q, -1, mu)
-        q = y + q - x_new
-        step = x_new - x
-        x = x_new
-        if np.sqrt(step @ (space.A @ step)) <= tol:
-            break
-    return x
-
-
 # -- invariance / (H_1) checking ---------------------------------------------
 
 

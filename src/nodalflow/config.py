@@ -55,8 +55,8 @@ def config_hash(config: dict) -> str:
 def parse_potential(spec) -> PiecewisePotential:
     if isinstance(spec, str):
         name, _, args = spec.partition(":")
-        vals = [float(a) for a in args.split(",")] if args else []
         try:
+            vals = [float(a) for a in args.split(",")] if args else []
             if name == "power":
                 return power_potential(*vals)
             if name == "abs":
@@ -65,7 +65,7 @@ def parse_potential(spec) -> PiecewisePotential:
                 return two_slope_potential(*vals)
             if name == "capped_power":
                 return capped_power_potential(*vals)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad arguments for potential {spec!r}: {exc}") from exc
         raise ConfigError(f"unknown potential {spec!r}")
     if isinstance(spec, dict):
@@ -76,7 +76,7 @@ def parse_potential(spec) -> PiecewisePotential:
                             "two_slope": two_slope_potential,
                             "capped_power": capped_power_potential}
                 return builders[spec["name"]](**args)
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad potential spec {spec!r}: {exc}") from exc
         try:
             return polynomial_potential(

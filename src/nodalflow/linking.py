@@ -19,22 +19,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import diags as sp_diags
-from scipy.sparse.linalg import spsolve as sp_spsolve
+from scipy.sparse.linalg import splu
 
 from ._serial import dumps
 from .cones import RegionLabel, dist_to_cones, region_of
 from .energy import EnergyProblem, energy, slope
-from .flow import FlowConfig, FlowState, Termination, integrate_flow
+from .flow import FlowConfig, Termination, _make_state, integrate_flow
 from .mesh import DiscreteSpace
-
-
-def _flow_state(prob: EnergyProblem, u: np.ndarray, mu0: float) -> FlowState:
-    from .cones import project_cone
-    pr_p = project_cone(prob.space, u, 1)
-    pr_m = project_cone(prob.space, u, -1)
-    label = region_of(prob.space, u, mu0, dists=(pr_p.distance, pr_m.distance))
-    return FlowState(0.0, u.copy(), energy(prob, u), slope(prob, u).value,
-                     pr_p.distance, pr_m.distance, label, 0.0)
 
 
 class NoLinkingWindow(RuntimeError):
@@ -395,11 +386,8 @@ def _newton_polish(prob: EnergyProblem, u0: np.ndarray, tol_m: float,
             return u
         jac = space.A - prob.lam * sp_diags(space.M_diag * _potential_curvature(prob, u))
         try:
-            if space.dim <= 600:
-                step = np.linalg.solve(jac.toarray(), res.certificate)
-            else:
-                step = sp_spsolve(jac.tocsc(), res.certificate)
-        except Exception:
+            step = splu(jac.tocsc()).solve(res.certificate)
+        except RuntimeError:  # exactly singular Jacobian
             return None
         gamma = 1.0
         improved = None
@@ -450,7 +438,7 @@ def _bisect_separatrix(prob, a, b, class_a, class_b, cfg, mu0, floor_j,
     polished = _newton_polish(prob, best_dip.u, cfg.flow.tol_m)
     if polished is None:
         return None
-    return _flow_state(prob, polished, mu0)
+    return _make_state(prob, polished, 0.0, 0.0, mu0, {})
 
 
 def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig,

@@ -16,9 +16,6 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-# Below this dimension a dense copy of A is kept for reduced solves.
-_DENSE_LIMIT = 600
-
 
 class MeshError(ValueError):
     """Invalid grid specification or non-conforming field."""
@@ -109,7 +106,12 @@ class DiscreteSpace:
             self.M_diag = np.full(dim, h[0] * h[1])
         self.dim = dim
         self._solver = spla.splu(self.A)
-        self._A_dense = self.A.toarray() if dim <= _DENSE_LIMIT else None
+        # upper band storage of A: _A_band[bw + i - j, j] = A[i, j] for i <= j
+        coo = self.A.tocoo()
+        self._bw = bw = int(np.max(np.abs(coo.row - coo.col)))
+        self._A_band = np.zeros((bw + 1, dim))
+        for k in range(bw + 1):
+            self._A_band[bw - k, k:] = self.A.diagonal(k)
         self._eigvals: np.ndarray | None = None
         self._eigvecs: np.ndarray | None = None
 
@@ -158,11 +160,19 @@ class DiscreteSpace:
         return self._solver.solve(np.asarray(g, dtype=float))
 
     def solve_reduced(self, rhs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Solve A[idx,idx] x = rhs for an index subset (used by active-set QPs)."""
-        if self._A_dense is not None:
-            return np.linalg.solve(self._A_dense[np.ix_(idx, idx)], rhs)
-        sub = self.A[np.ix_(idx, idx)].tocsc()
-        return spla.spsolve(sub, rhs)
+        """Solve A[idx,idx] x = rhs for an ascending index subset (used by
+        active-set QPs).
+
+        A principal submatrix of the band matrix A keeps A's bandwidth, so one
+        banded Cholesky solve serves every grid."""
+        m = len(idx)
+        bw = min(self._bw, m - 1)
+        sub = np.zeros((bw + 1, m))
+        for k in range(bw + 1):
+            gap = idx[k:] - idx[:m - k]
+            near = gap <= self._bw
+            sub[bw - k, k:][near] = self._A_band[self._bw - gap[near], idx[k:][near]]
+        return scipy.linalg.solveh_banded(sub, rhs)
 
     # -- spectrum ---------------------------------------------------------
 

@@ -61,6 +61,22 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", str(missing)]) == 2
 
 
+def test_invalid_potential_exits_2(tmp_path, capsys):
+    path, _ = small_config(tmp_path, potential="power:2")
+    assert main(["solve", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_projection_failure_exits_4(tmp_path, capsys):
+    # the active set needs more than max_iter iterations on this grid
+    path, _ = small_config(tmp_path, grid={"dimension": 1, "bounds": [0.0, 1.0],
+                                           "n": 223}, seed=1)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "ProjectionError" in err and err.count("\n") == 1
+
+
 def test_solve_artifacts_and_determinism(tmp_path):
     path, raw = small_config(tmp_path)
     out_a = str(tmp_path / "a")

@@ -84,26 +84,6 @@ def test_region_monotone_in_mu(space_63, rng):
             assert nf.region_of(space_63, u, 0.5) is nf.RegionLabel.OVERLAP
 
 
-def test_neighborhood_projection(space_63, rng):
-    mu = 0.3
-    for sign in (1, -1):
-        z = rng.normal(size=63) * 2.0
-        proj = nf.cones.project_neighborhood(space_63, z, sign, mu)
-        d = nf.project_cone(space_63, proj, sign).distance
-        assert d <= mu + 1e-9
-        # projection is idempotent up to tolerance
-        again = nf.cones.project_neighborhood(space_63, proj, sign, mu)
-        assert space_63.h1_norm(again - proj) <= 1e-9
-
-
-def test_overlap_projection(space_63, rng):
-    mu = 0.4
-    z = rng.normal(size=63) * 0.3
-    x = nf.cones.project_overlap(space_63, z, mu)
-    dp, dm = nf.dist_to_cones(space_63, x)
-    assert dp <= mu + 1e-6 and dm <= mu + 1e-6
-
-
 def test_schauder_small_lambda_ratio_shrinks(space_63, rng):
     # the image scales with lambda, so its cone distance vanishes as lambda -> 0
     big = nf.EnergyProblem(space_63, nf.power_potential(4), 1.0)
@@ -140,3 +120,17 @@ def test_kkt_certificate_on_random_fields(space_63, rng):
         u = rng.normal(size=63) * rng.uniform(0.1, 5.0)
         pr = nf.project_cone(space_63, u)
         assert pr.kkt_residual <= 1e-9 * max(1.0, np.max(np.abs(u)))
+
+
+def test_kkt_certificate_on_2d_grid(rng):
+    space = nf.build_space(nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (23, 11)))
+    phi2 = space.eigenpairs(2)[1][1]
+    fields = [2.0 * phi2] + [rng.normal(size=space.dim) * rng.uniform(0.1, 5.0)
+                             for _ in range(10)]
+    for u in fields:
+        for sign in (1, -1):
+            pr = nf.project_cone(space, u, sign)
+            assert pr.kkt_residual <= 1e-9 * max(1.0, np.max(np.abs(u)))
+            assert np.all(sign * pr.projection >= 0.0)
+            inner = abs(space.h1_inner(pr.residual, pr.projection))
+            assert inner <= 1e-8 * max(space.h1_norm(u) ** 2, 1e-12)

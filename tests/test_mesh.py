@@ -91,6 +91,26 @@ def test_dual_norm_is_riesz_norm(space_63, rng):
     assert space_63.dual_norm(g) == pytest.approx(space_63.h1_norm(u), rel=1e-10)
 
 
+@pytest.mark.parametrize("spec", [
+    nf.GridSpec.interval(0.0, 1.0, 127),
+    nf.GridSpec.interval(0.0, 1.0, 1023),
+    nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (39, 19)),
+    nf.GridSpec.rectangle([(0.0, 1.0), (0.0, 2.0)], (19, 39)),
+], ids=["1d-127", "1d-1023", "2d-39x19", "2d-19x39"])
+def test_solve_reduced_matches_dense(spec, rng):
+    space = nf.build_space(spec)
+    A = space.A.toarray()
+    n = space.dim
+    subsets = [np.sort(rng.choice(n, size=size, replace=False))
+               for size in rng.integers(2, n, size=6)]
+    subsets += [np.array([0]), np.array([n - 1]), np.array([0, n - 1]), np.arange(n)]
+    for idx in subsets:
+        rhs = rng.normal(size=idx.size)
+        x = space.solve_reduced(rhs, idx)
+        ref = np.linalg.solve(A[np.ix_(idx, idx)], rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_2d_rectangle_eigenvalues():
     space = nf.build_space(nf.GridSpec.rectangle([(0.0, 1.0), (0.0, 2.0)], (7, 9)))
     hx, hy = space.grid.spacing
