@@ -16,11 +16,12 @@ import os
 import re
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from ._serial import dumps
-from .cones import ProjectionError, check_schauder, fit_mu0
+from .cones import ConeNeighborhood, ProjectionError, check_schauder, fit_mu0
 from .config import ConfigError, RunConfig, load_config
 from .energy import (EnergyProblem, SlopeError, energy, ps_monitor, slope,
                      slope_on_set)
@@ -28,7 +29,7 @@ from .flow import (FlowError, Termination, integrate_flow, load_checkpoint,
                    monitor_invariance, resume_flow)
 from .linking import (GapViolation, InvarianceViolation, NoLinkingWindow,
                       NotConverged, build_frame, minimax_iterate)
-from .mesh import build_space, field_from_csv, field_to_csv
+from .mesh import MeshError, build_space, field_from_csv, field_to_csv
 from .potential import SamplePlan, check_hypotheses
 
 EXIT_OK = 0
@@ -79,7 +80,11 @@ def parse_start(space, name: str) -> np.ndarray:
         return c * space.eigenpairs(k)[k - 1][1]
     if os.path.exists(name):
         with open(name) as fh:
-            return field_from_csv(space, fh.read())
+            text = fh.read()
+        try:
+            return field_from_csv(space, text)
+        except (ValueError, StopIteration) as exc:
+            raise ConfigError(f"bad start field {name!r}: {exc or 'empty file'}") from exc
     raise ConfigError(f"unrecognized start {name!r}; use zero, c*phi1, c*phi2, or a CSV path")
 
 
@@ -95,35 +100,46 @@ def _spawn_rngs(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)]
 
 
+def _pre_stages(cfg: RunConfig, prob, rng, run: _Run, write: bool):
+    """Hypotheses -> mu0 -> Schauder check, the prefix of solve and verify.
+
+    Returns (hypotheses, mu0, (plus, minus) reports, passed), with None for mu0
+    and the reports when the hypotheses fail; ``write`` writes each stage's
+    report file as the stage ends.
+    """
+    plan = SamplePlan(seed=int(np.random.SeedSequence(cfg.seed).generate_state(1)[0]))
+    hyp = check_hypotheses(cfg.potential, plan)
+    if write:
+        run.write_json("hypothesis_report.json", hyp.to_dict())
+    run.log(f"stage hypotheses: {'passed' if hyp.all_passed else 'failed'}")
+    if not hyp.all_passed:
+        return hyp, None, None, False
+    mu0 = _resolve_mu0(cfg, prob, rng, run)
+    rep_p, rep_m = check_schauder(prob, mu0, cfg.schauder_samples, rng)
+    if write:
+        run.write_json("invariance_report.json",
+                       {"mu0": mu0, "plus": rep_p.to_dict(), "minus": rep_m.to_dict()})
+    passed = rep_p.passed and rep_m.passed and rep_p.inequality_ok and rep_m.inequality_ok
+    run.log(f"stage schauder: {'passed' if passed else 'failed'}")
+    return hyp, mu0, (rep_p, rep_m), passed
+
+
 def cmd_solve(cfg: RunConfig, outdir: str) -> int:
     run = _Run(outdir, cfg)
     rngs = _spawn_rngs(cfg.seed)
     space = build_space(cfg.grid)
     prob = EnergyProblem(space, cfg.potential, cfg.lam)
 
-    plan = SamplePlan(seed=int(np.random.SeedSequence(cfg.seed).generate_state(1)[0]))
-    hyp = check_hypotheses(cfg.potential, plan)
-    run.write_json("hypothesis_report.json", hyp.to_dict())
+    hyp, mu0, _, passed = _pre_stages(cfg, prob, rngs[1], run, write=True)
     if not hyp.all_passed:
-        run.log("stage hypotheses: failed")
         return EXIT_NOT_CONVERGED
-    run.log("stage hypotheses: passed")
-
-    mu0 = _resolve_mu0(cfg, prob, rngs[1], run)
-    samples = int(cfg.raw["tolerances"].get("schauder_samples", 100))
-    rep_p, rep_m = check_schauder(prob, mu0, samples, rngs[1])
-    run.write_json("invariance_report.json",
-                   {"mu0": mu0, "plus": rep_p.to_dict(), "minus": rep_m.to_dict()})
-    if not (rep_p.passed and rep_m.passed and rep_p.inequality_ok and rep_m.inequality_ok):
-        run.log("stage schauder: failed")
+    if not passed:
         return EXIT_INVARIANCE
-    run.log("stage schauder: passed")
 
     try:
-        frame = build_frame(prob, mu0, cfg.scan_config(), rngs[2])
+        frame = build_frame(prob, mu0, cfg.scan, rngs[2])
     except NoLinkingWindow as exc:
-        run.write_json("linking_scan.json", {"error": str(exc), "profiles":
-                                             {k: v for k, v in exc.profiles.items()}})
+        run.write_json("linking_scan.json", {"error": str(exc), "profiles": dict(exc.profiles)})
         run.log(f"stage frame: {exc}")
         return EXIT_NO_LINKING
     run.write_json("frame.json", {"radius": frame.radius, "delta_t": frame.delta_t,
@@ -132,26 +148,20 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
     run.log(f"stage frame: R={frame.radius:.6g} delta_T={frame.delta_t:.6g}")
 
     snapshot = None
-    if cfg.wants_surface_snapshots():
+    if cfg.snapshots:
         def snapshot(iteration, mesh):
             run.write_text(f"surface_{iteration:03d}.csv",
                            mesh.to_csv(prob, (f"config_hash={cfg.hash}",
                                               f"iteration={iteration}")))
     try:
-        report = minimax_iterate(prob, frame, cfg.minimax_config(mu0), rngs[3],
-                                 snapshot=snapshot)
-    except GapViolation as exc:
+        minimax = replace(cfg.minimax, flow=replace(cfg.flow, mu0=mu0))
+        report = minimax_iterate(prob, frame, minimax, rngs[3], snapshot=snapshot)
+    except (GapViolation, NotConverged, InvarianceViolation) as exc:
         run.write_json("minimax_report.json", {"error": str(exc)})
         run.log(f"stage minimax: {exc}")
-        return EXIT_NO_LINKING
-    except NotConverged as exc:
-        run.write_json("minimax_report.json", {"error": str(exc)})
-        run.log(f"stage minimax: {exc}")
-        return EXIT_NOT_CONVERGED
-    except InvarianceViolation as exc:
-        run.write_json("minimax_report.json", {"error": str(exc)})
-        run.log(f"stage minimax: {exc}")
-        return EXIT_INVARIANCE
+        if isinstance(exc, GapViolation):
+            return EXIT_NO_LINKING
+        return EXIT_NOT_CONVERGED if isinstance(exc, NotConverged) else EXIT_INVARIANCE
 
     run.write_json("minimax_report.json", report.to_dict())
     if report.candidate is not None:
@@ -168,18 +178,18 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
 
 
 def cmd_flow(cfg: RunConfig, outdir: str, start: str, resume: str | None) -> int:
+    space = build_space(cfg.grid)
+    u0 = None if resume else parse_start(space, start)
     run = _Run(outdir, cfg)
     rngs = _spawn_rngs(cfg.seed)
-    space = build_space(cfg.grid)
     prob = EnergyProblem(space, cfg.potential, cfg.lam)
     mu0 = _resolve_mu0(cfg, prob, rngs[1], run)
-    flow_cfg = cfg.flow_config(mu0, checkpoint_every=cfg.checkpoint_every())
+    flow_cfg = replace(cfg.flow, mu0=mu0)
     checkpoint_path = os.path.join(outdir, "checkpoint.json")
     if resume:
         traj = resume_flow(prob, flow_cfg, resume)
         run.log(f"resumed from {resume}")
     else:
-        u0 = parse_start(space, start)
         traj = integrate_flow(prob, u0, flow_cfg,
                               checkpoint_path=checkpoint_path
                               if flow_cfg.checkpoint_every else None)
@@ -204,30 +214,20 @@ def cmd_verify(cfg: RunConfig, outdir: str, start: str | None) -> int:
     rngs = _spawn_rngs(cfg.seed)
     space = build_space(cfg.grid)
     prob = EnergyProblem(space, cfg.potential, cfg.lam)
-    sections: dict = {}
-    ok = True
+    hyp, mu0, reports, schauder_ok = _pre_stages(cfg, prob, rngs[1], run, write=False)
+    sections: dict = {"hypotheses": hyp.to_dict()}
+    ok = hyp.all_passed
     invariance_fail = False
 
-    plan = SamplePlan(seed=int(np.random.SeedSequence(cfg.seed).generate_state(1)[0]))
-    hyp = check_hypotheses(cfg.potential, plan)
-    sections["hypotheses"] = hyp.to_dict()
-    ok = ok and hyp.all_passed
-
     if hyp.all_passed:
-        mu0 = _resolve_mu0(cfg, prob, rngs[1], run)
-        samples = int(cfg.raw["tolerances"].get("schauder_samples", 100))
-        rep_p, rep_m = check_schauder(prob, mu0, samples, rngs[1])
-        schauder_ok = (rep_p.passed and rep_m.passed
-                       and rep_p.inequality_ok and rep_m.inequality_ok)
-        sections["schauder"] = {"mu0": mu0, "plus": rep_p.to_dict(),
-                                "minus": rep_m.to_dict(), "passed": schauder_ok}
+        sections["schauder"] = {"mu0": mu0, "plus": reports[0].to_dict(),
+                                "minus": reports[1].to_dict(), "passed": schauder_ok}
         ok = ok and schauder_ok
-        invariance_fail = invariance_fail or not schauder_ok
+        invariance_fail = not schauder_ok
 
         # slope cross-validation at flow endpoints inside the cone neighborhoods
-        from .cones import ConeNeighborhood
         cross = []
-        flow_cfg = cfg.flow_config(mu0, t_max=min(10.0, cfg.flow_config(mu0).t_max))
+        flow_cfg = replace(cfg.flow, mu0=mu0, t_max=min(10.0, cfg.flow.t_max))
         for sign in (1, -1):
             u0 = sign * 0.8 * space.eigenpairs(1)[0][1]
             traj = integrate_flow(prob, u0, flow_cfg)
@@ -265,9 +265,9 @@ def cmd_verify(cfg: RunConfig, outdir: str, start: str | None) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: str, k: int) -> int:
-    run = _Run(outdir, cfg)
     space = build_space(cfg.grid)
     pairs = space.eigenpairs(k)
+    run = _Run(outdir, cfg)
     coords = space.grid.coords()
     lines = [f"# config_hash={cfg.hash}",
              "# lambdas=" + ",".join(repr(v) for v, _ in pairs)]
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, outdir, args.start)
         return cmd_spectrum(cfg, outdir, args.k)
-    except ConfigError as exc:
+    except (ConfigError, MeshError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ProjectionError, SlopeError, FlowError) as exc:

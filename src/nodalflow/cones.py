@@ -207,9 +207,21 @@ def _boundary_samples(prob, sign: int, distances: np.ndarray, per_distance: int,
     return out
 
 
+def _fit_constant(prob, sign: int, per_distance: int, rng: np.random.Generator) -> float:
+    """Least C with dist(image, sign*P) <= d/3 + C d^(q-1) on a ladder of distances."""
+    space = prob.space
+    q = prob.potential.q
+    c_fit = 0.0
+    ladder = np.linspace(0.1, 1.0, 8)
+    for u, d in _boundary_samples(prob, sign, ladder, per_distance, rng):
+        for img in _selection_images(prob, u, rng):
+            d_img = project_cone(space, img, sign).distance
+            c_fit = max(c_fit, max(0.0, d_img - d / 3.0) / d ** (q - 1.0))
+    return c_fit
+
+
 def check_schauder(prob, mu0: float, sample_count: int = 100,
                    rng: np.random.Generator | None = None,
-                   extra_states: tuple[np.ndarray, ...] = (),
                    ratio_tol: float = 1e-6) -> tuple[InvarianceReport, InvarianceReport]:
     """Measure the cone-neighborhood invariance of the map u -> lam*A^-1*M*w.
 
@@ -222,22 +234,13 @@ def check_schauder(prob, mu0: float, sample_count: int = 100,
     q = prob.potential.q
     reports = []
     for sign in (1, -1):
-        ladder = np.linspace(0.1, 1.0, 8)
-        fit_samples = _boundary_samples(prob, sign, ladder, max(3, sample_count // 20), rng)
-        c_fit = 0.0
-        for u, d in fit_samples:
-            for img in _selection_images(prob, u, rng):
-                d_img = project_cone(space, img, sign).distance
-                c_fit = max(c_fit, max(0.0, d_img - d / 3.0) / d ** (q - 1.0))
-        c_fit *= 1.2  # headroom for fresh samples
-
+        # the fitted C, with 1.2x headroom for fresh samples
+        c_fit = _fit_constant(prob, sign, max(3, sample_count // 20), rng) * 1.2
         worst = 0.0
         witness = 0.0
         ineq_ok = True
         fresh = _boundary_samples(prob, sign, np.asarray([mu0]), sample_count, rng)
-        for u, d in fresh + [(s, project_cone(space, s, sign).distance)
-                             for s in extra_states
-                             if 1e-12 < project_cone(space, s, sign).distance <= mu0 * 1.01]:
+        for u, d in fresh:
             for img in _selection_images(prob, u, rng):
                 d_img = project_cone(space, img, sign).distance
                 if d_img / mu0 > worst:
@@ -257,17 +260,9 @@ def fit_mu0(prob, rng: np.random.Generator | None = None,
     """Automatic mu0: fit C over both signs, take the largest mu0 in (0,1) with
     mu0/3 + C mu0^(q-1) <= mu0/2, then halve for safety."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    space = prob.space
-    q = prob.potential.q
-    c_fit = 0.0
-    for sign in (1, -1):
-        ladder = np.linspace(0.1, 1.0, 8)
-        for u, d in _boundary_samples(prob, sign, ladder, max(3, sample_count // 8), rng):
-            for img in _selection_images(prob, u, rng):
-                d_img = project_cone(space, img, sign).distance
-                c_fit = max(c_fit, max(0.0, d_img - d / 3.0) / d ** (q - 1.0))
-    c_fit *= 1.2
+    c_fit = max(_fit_constant(prob, sign, max(3, sample_count // 8), rng)
+                for sign in (1, -1)) * 1.2
     if c_fit <= 0:
         return 0.45  # image indistinguishable from the cone; any mu0 < 1 works
-    mu_star = (1.0 / (6.0 * c_fit)) ** (1.0 / (q - 2.0))
+    mu_star = (1.0 / (6.0 * c_fit)) ** (1.0 / (prob.potential.q - 2.0))
     return 0.5 * min(0.9, mu_star)

@@ -1,14 +1,22 @@
 """Run configuration: a single JSON document with "auto" sentinels, canonical
-hashing for reproducibility, and builders for the solver objects."""
+hashing for reproducibility, and the typed solver sections.
+
+The keys of the "grid", "flow", "linking" and "linking.scan" sections are the
+fields of GridSpec, FlowConfig, MinimaxConfig and ScanConfig, less those marked
+internal (set by the solver); each value is checked against its annotation.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import math
+import typing
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any
-
-import numpy as np
 
 from .flow import FlowConfig
 from .linking import MinimaxConfig, ScanConfig
@@ -52,49 +60,39 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_text(config).encode()).hexdigest()
 
 
+_POTENTIALS = {"power": power_potential, "abs": abs_potential,
+               "two_slope": two_slope_potential, "capped_power": capped_power_potential}
+
+
 def parse_potential(spec) -> PiecewisePotential:
-    if isinstance(spec, str):
-        name, _, args = spec.partition(":")
-        try:
+    try:
+        if isinstance(spec, str):
+            name, _, args = spec.partition(":")
             vals = [float(a) for a in args.split(",")] if args else []
-            if name == "power":
-                return power_potential(*vals)
-            if name == "abs":
-                return abs_potential()
-            if name == "two_slope":
-                return two_slope_potential(*vals)
-            if name == "capped_power":
-                return capped_power_potential(*vals)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad arguments for potential {spec!r}: {exc}") from exc
-        raise ConfigError(f"unknown potential {spec!r}")
-    if isinstance(spec, dict):
-        if "name" in spec:
-            args = {k: v for k, v in spec.items() if k != "name"}
-            try:
-                builders = {"power": power_potential, "abs": abs_potential,
-                            "two_slope": two_slope_potential,
-                            "capped_power": capped_power_potential}
-                return builders[spec["name"]](**args)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad potential spec {spec!r}: {exc}") from exc
-        try:
+            if not all(map(math.isfinite, vals)):
+                raise ValueError("arguments must be finite")
+            if name not in _POTENTIALS:
+                raise ValueError("unknown potential")
+            return _POTENTIALS[name](*vals)
+        if isinstance(spec, dict) and "name" in spec:
+            return _POTENTIALS[spec["name"]](**{k: v for k, v in spec.items() if k != "name"})
+        if isinstance(spec, dict):
             return polynomial_potential(
                 spec["breakpoints"], spec["coefficients"],
                 a1=float(spec["a1"]), q=float(spec["q"]), mu=float(spec["mu"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad piecewise table {spec!r}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad potential spec {spec!r}: {exc}") from exc
     raise ConfigError(f"potential spec must be string or object, got {type(spec)}")
 
 
-def parse_grid(spec: dict) -> GridSpec:
+def parse_grid(spec) -> GridSpec:
+    """The "grid" section; an interval takes bare ``bounds`` and ``n``."""
+    if isinstance(spec, dict) and _value(spec.get("dimension"), int, "grid.dimension") == 1:
+        spec = dict(spec, bounds=[spec.get("bounds")], n=[spec.get("n")])
+    fields = _typed(spec, schema(GridSpec), "grid")
     try:
-        dim = int(spec["dimension"])
-        if dim == 1:
-            a, b = spec["bounds"]
-            return GridSpec.interval(float(a), float(b), int(spec["n"]))
-        return GridSpec.rectangle(spec["bounds"], spec["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return GridSpec(**fields)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid spec {spec!r}: {exc}") from exc
 
 
@@ -107,82 +105,77 @@ class RunConfig:
     mu0: float | str
     seed: int
     output_dir: str
-
-    @property
-    def text(self) -> str:
-        return canonical_text(self.raw)
+    flow: FlowConfig
+    scan: ScanConfig
+    minimax: MinimaxConfig
+    schauder_samples: int
+    snapshots: bool
 
     @property
     def hash(self) -> str:
         return config_hash(self.raw)
 
-    def flow_config(self, mu0: float, **overrides) -> FlowConfig:
-        opts = dict(self.raw.get("flow", {}))
-        opts.pop("checkpoint_every", None)
-        known = {"dt0", "dt_min", "dt_max", "tol_m", "t_max", "max_steps",
-                 "eps", "eps_bar"}
-        bad = set(opts) - known
-        if bad:
-            raise ConfigError(f"unknown flow options: {sorted(bad)}")
-        opts.update(overrides)
-        try:
-            return FlowConfig(mu0=mu0, **opts)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad flow config: {exc}") from exc
 
-    def checkpoint_every(self) -> int | None:
-        val = self.raw.get("flow", {}).get("checkpoint_every")
-        return None if val is None else int(val)
+@functools.cache
+def schema(cls) -> MappingProxyType:
+    """Config keys of a dataclass: field name -> annotation, internal fields left out."""
+    hints = typing.get_type_hints(cls)
+    return MappingProxyType({f.name: hints[f.name] for f in dataclasses.fields(cls)
+                             if not f.metadata.get("internal")})
 
-    def scan_config(self) -> ScanConfig:
-        opts = dict(self.raw.get("linking", {}).get("scan", {}))
-        kwargs = {}
-        if "n_theta" in opts:
-            kwargs["n_theta"] = int(opts.pop("n_theta"))
-        if "n_directions" in opts:
-            kwargs["n_directions"] = int(opts.pop("n_directions"))
-        if "radius_grid" in opts:
-            kwargs["radius_grid"] = tuple(float(r) for r in opts.pop("radius_grid"))
-        elif "radius_max" in opts or "n_radius" in opts:
-            rmax = float(opts.pop("radius_max", 200.0))
-            nrad = int(opts.pop("n_radius", 40))
-            kwargs["radius_grid"] = tuple(float(r) for r in np.geomspace(1.0, rmax, nrad))
-        if "delta_grid" in opts:
-            kwargs["delta_grid"] = tuple(float(d) for d in opts.pop("delta_grid"))
-        elif {"delta_min", "delta_max", "n_delta"} & set(opts):
-            dmin = float(opts.pop("delta_min", 0.05))
-            dmax = float(opts.pop("delta_max", 10.0))
-            ndel = int(opts.pop("n_delta", 40))
-            kwargs["delta_grid"] = tuple(float(d) for d in np.geomspace(dmin, dmax, ndel))
-        if "cone_margin" in opts:
-            kwargs["cone_margin"] = float(opts.pop("cone_margin"))
-        if "radius_margin" in opts:
-            kwargs["radius_margin"] = float(opts.pop("radius_margin"))
-        if opts:
-            raise ConfigError(f"unknown scan options: {sorted(opts)}")
-        return ScanConfig(**kwargs)
 
-    def wants_surface_snapshots(self) -> bool:
-        return bool(self.raw.get("linking", {}).get("snapshots", False))
+def _value(val, tp, key: str):
+    """``val`` checked against the annotation ``tp`` and converted to it."""
+    if type(None) in typing.get_args(tp):   # X | None
+        if val is None:
+            return None
+        tp = typing.get_args(tp)[0]
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(val, list):
+            raise ConfigError(f"{key} must be a list, got {val!r}")
+        return tuple(_value(v, typing.get_args(tp)[0], key) for v in val)
+    if tp not in (int, float):
+        if not isinstance(val, tp):
+            raise ConfigError(f"{key} must be of type {tp.__name__}, got {val!r}")
+        return val
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {val!r}")
+    if tp is int:
+        if val != int(val):
+            raise ConfigError(f"{key} must be an integer, got {val!r}")
+        return int(val)
+    try:
+        return float(val)
+    except OverflowError as exc:
+        raise ConfigError(f"{key} is out of range") from exc
 
-    def minimax_config(self, mu0: float) -> MinimaxConfig:
-        opts = dict(self.raw.get("linking", {}))
-        opts.pop("scan", None)
-        opts.pop("snapshots", None)
-        known = {"nr", "nt", "max_sweeps", "stall_window", "stall_rel", "band_frac",
-                 "horizon_cap", "retry_budget", "bisect_rounds", "classify_t_chunk",
-                 "classify_max_chunks", "mesh_tol"}
-        bad = set(opts) - known
-        if bad:
-            raise ConfigError(f"unknown linking options: {sorted(bad)}")
-        try:
-            return MinimaxConfig(flow=self.flow_config(mu0), **opts)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad linking config: {exc}") from exc
+
+def _typed(section, types, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object, got {section!r}")
+    unknown = set(section) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return {k: _value(v, types[k], f"{where}.{k}") for k, v in section.items()}
+
+
+def _check_finite(node, key: str = ""):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            _check_finite(v, f"{key}.{k}" if key else k)
+    elif isinstance(node, list):
+        for v in node:
+            _check_finite(v, key)
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{key} must be finite, got {node!r}")
 
 
 def load_config(source: str | dict) -> RunConfig:
-    """Parse a config document (JSON text or dict) over the defaults."""
+    """Parse a config document (JSON text or dict) over the defaults.
+
+    Every section is checked here, against the fields of the dataclass it
+    builds, so a bad key or value fails before any stage runs.
+    """
     if isinstance(source, str):
         try:
             user = json.loads(source)
@@ -196,15 +189,32 @@ def load_config(source: str | dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     raw = _merge(_DEFAULTS, user)
+    _check_finite(raw)
+    types = schema(RunConfig)
     grid = parse_grid(raw["grid"])
     potential = parse_potential(raw["potential"])
-    lam = float(raw["lambda"])
+    lam = _value(raw["lambda"], types["lam"], "lambda")
     if lam <= 0:
         raise ConfigError(f"lambda must be positive, got {lam}")
     mu0 = raw["mu0"]
     if mu0 != "auto":
-        mu0 = float(mu0)
+        mu0 = _value(mu0, float, "mu0")
         if not 0 < mu0 < 1:
             raise ConfigError(f"mu0 must be in (0,1) or 'auto', got {mu0}")
-    seed = int(raw["seed"])
-    return RunConfig(raw, grid, potential, lam, mu0, seed, str(raw["output_dir"]))
+    linking = _typed(raw["linking"], dict(schema(MinimaxConfig), scan=dict,
+                                          snapshots=types["snapshots"]), "linking")
+    scan = _typed(linking.pop("scan", {}), schema(ScanConfig), "linking.scan")
+    snapshots = linking.pop("snapshots", False)
+    tolerances = _typed(raw["tolerances"],
+                        {k: types[k] for k in _DEFAULTS["tolerances"]}, "tolerances")
+    flow = _typed(raw["flow"], schema(FlowConfig), "flow")
+    try:
+        flow = FlowConfig(**flow)
+        minimax = MinimaxConfig(flow=flow, **linking)
+        scan = ScanConfig(**scan)
+    except ValueError as exc:
+        raise ConfigError(f"bad solver config: {exc}") from exc
+    return RunConfig(raw, grid, potential, lam, mu0,
+                     _value(raw["seed"], types["seed"], "seed"),
+                     _value(raw["output_dir"], types["output_dir"], "output_dir"),
+                     flow, scan, minimax, tolerances["schauder_samples"], snapshots)

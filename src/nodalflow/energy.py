@@ -56,11 +56,6 @@ class SubdifferentialBox:
         return float(self.base @ d - self.lam * np.sum(
             self.weights * np.minimum(self.lo * d, self.hi * d)))
 
-    def support_min(self, d: np.ndarray) -> float:
-        """min over the box of <x*, d>; the dual function of the m_D saddle."""
-        return float(self.base @ d - self.lam * np.sum(
-            self.weights * np.maximum(self.lo * d, self.hi * d)))
-
 
 def energy(prob: EnergyProblem, u: np.ndarray) -> float:
     u = prob.space.check_field(u)

@@ -22,6 +22,8 @@ from .energy import EnergyProblem, SlopeResult, energy, slope
 from .mesh import DiscreteSpace
 
 ARMIJO_C1 = 1e-4
+DISP_CAP = 0.5   # per-step displacement bound: dt <= DISP_CAP/(1+||u||)
+INTERNAL = {"internal": True}   # field metadata: set by the solver, not by a config
 
 
 class FlowError(RuntimeError):
@@ -39,20 +41,19 @@ class Termination(str, Enum):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    mu0: float = 0.25
-    level_r: float | None = None      # deformation band center; None = solver mode
-    eps: float = 0.05
-    eps_bar: float = 0.15
-    excision_delta: float = 0.0
-    excised_points: tuple = ()
+    mu0: float = field(default=0.25, metadata=INTERNAL)
+    level_r: float | None = field(default=None, metadata=INTERNAL)  # None = solver mode
+    eps: float = field(default=0.05, metadata=INTERNAL)
+    eps_bar: float = field(default=0.15, metadata=INTERNAL)
+    excision_delta: float = field(default=0.0, metadata=INTERNAL)
+    excised_points: tuple = field(default=(), metadata=INTERNAL)
     dt0: float = 0.05
     dt_min: float = 1e-12
     dt_max: float = 0.5
-    disp_cap: float = 0.5             # per-step displacement bound: dt <= disp_cap/(1+||u||)
     tol_m: float = 1e-6
     t_max: float = 50.0
     max_steps: int = 20000
-    j_floor: float | None = None      # stop once the energy falls below this level
+    j_floor: float | None = field(default=None, metadata=INTERNAL)  # stop below this energy
     checkpoint_every: int | None = None
 
     def __post_init__(self):
@@ -201,7 +202,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
 
         # ||V|| <= (1+||u||), so the displacement cap bounds each step's arc
         # length; trajectories then track the flow through saddle regions
-        cap = min(config.dt_max, config.disp_cap / (1.0 + norm_u))
+        cap = min(config.dt_max, DISP_CAP / (1.0 + norm_u))
         if s.label is not RegionLabel.SIGN_CHANGING:
             # keeps each accepted step a convex combination with the
             # invariance displacement, so cone neighborhoods stay invariant

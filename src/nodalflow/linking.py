@@ -24,8 +24,12 @@ from scipy.sparse.linalg import splu
 from ._serial import dumps
 from .cones import RegionLabel, dist_to_cones, region_of
 from .energy import EnergyProblem, energy, slope
-from .flow import FlowConfig, Termination, _make_state, integrate_flow
+from .flow import INTERNAL, FlowConfig, Termination, _make_state, integrate_flow
 from .mesh import DiscreteSpace
+
+T_MODES = 8          # T directions are drawn from the first T_MODES eigenfields past phi1
+SWEEP_TOL_M = 1e-3   # loose slope parking during sweeps
+POLISH_DIP = 0.05    # hand dips below this weighted slope to Newton
 
 
 class NoLinkingWindow(RuntimeError):
@@ -56,7 +60,6 @@ class ScanConfig:
     delta_grid: tuple[float, ...] = tuple(float(d) for d in np.geomspace(0.05, 25.0, 48))
     n_directions: int = 32
     cone_margin: float = 1.05
-    t_modes: int = 8   # T directions are drawn from the first t_modes eigenfields past phi1
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ class LinkingFrame:
         return rho * self.radius * (np.cos(theta) * hat1 + np.sin(theta) * hat2)
 
 
-def _v_directions(space: DiscreteSpace, phi1: np.ndarray, count: int, modes: int,
+def _v_directions(space: DiscreteSpace, phi1: np.ndarray, count: int,
                   rng: np.random.Generator) -> list[np.ndarray]:
     """Unit directions M-orthogonal to phi1, drawn from the low eigenmodes.
 
@@ -84,7 +87,7 @@ def _v_directions(space: DiscreteSpace, phi1: np.ndarray, count: int, modes: int
     would make the sampled T sphere graze the neighborhoods; combinations of
     the first few higher eigenfields stay uniformly clear.
     """
-    k = min(modes + 1, space.dim)
+    k = min(T_MODES + 1, space.dim)
     basis = [vec for _, vec in space.eigenpairs(k)[1:]]
     dirs = [basis[0] / space.h1_norm(basis[0])]
     while len(dirs) < count:
@@ -98,13 +101,13 @@ def _v_directions(space: DiscreteSpace, phi1: np.ndarray, count: int, modes: int
 
 
 def sample_t_sphere(space: DiscreteSpace, frame: LinkingFrame, count: int,
-                    rng: np.random.Generator, modes: int = 8) -> list[np.ndarray]:
+                    rng: np.random.Generator) -> list[np.ndarray]:
     """Fields on the T sphere: delta_T times unit directions M-orthogonal to phi1.
 
     The pure phi2 direction is always the first sample.
     """
     return [frame.delta_t * d
-            for d in _v_directions(space, frame.phi1, count, modes, rng)]
+            for d in _v_directions(space, frame.phi1, count, rng)]
 
 
 def build_frame(prob: EnergyProblem, mu0: float, scan: ScanConfig,
@@ -135,7 +138,7 @@ def build_frame(prob: EnergyProblem, mu0: float, scan: ScanConfig,
             "no radius with negative energy on the eigen-plane arc",
             {"radius_profile": radius_profile})
 
-    dirs = _v_directions(space, phi1, scan.n_directions, scan.t_modes, rng)
+    dirs = _v_directions(space, phi1, scan.n_directions, rng)
     # cone distances are positively homogeneous: evaluate once at unit scale
     unit_dist = min(min(dist_to_cones(space, d)) for d in dirs)
     delta_profile = {}
@@ -270,14 +273,12 @@ class MinimaxConfig:
     stall_rel: float = 2e-3
     band_frac: float = 0.02
     horizon_cap: float = 2.0
-    sweep_tol_m: float = 1e-3   # loose slope parking during sweeps
     retry_budget: int = 4
     bisect_rounds: int = 40
     classify_t_chunk: float = 2.0
     classify_max_chunks: int = 8
-    polish_dip: float = 0.05    # hand dips below this weighted slope to Newton
     mesh_tol: float = 1e-2
-    flow: FlowConfig = field(default_factory=FlowConfig)
+    flow: FlowConfig = field(default_factory=FlowConfig, metadata=INTERNAL)
 
 
 @dataclass
@@ -425,7 +426,7 @@ def _bisect_separatrix(prob, a, b, class_a, class_b, cfg, mu0, floor_j,
             val = (1.0 + space.h1_norm(dip.u)) * dip.m
             if val < best_val:
                 best_val, best_dip = val, dip
-        if best_val <= cfg.polish_dip:
+        if best_val <= POLISH_DIP:
             break
         if kind == class_a or kind == "unresolved":
             lo = mid
@@ -490,7 +491,7 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
             16.0 * eps / b_floor, cfg.horizon_cap)
         sweep_cfg = replace(cfg.flow, mu0=mu0, level_r=r_k, eps=eps,
                             eps_bar=2.0 * eps, t_max=horizon,
-                            tol_m=max(cfg.flow.tol_m, cfg.sweep_tol_m),
+                            tol_m=max(cfg.flow.tol_m, SWEEP_TOL_M),
                             max_steps=min(cfg.flow.max_steps, 4000))
         mesh = deform_surface(prob, mesh, sweep_cfg)
 

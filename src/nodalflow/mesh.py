@@ -139,9 +139,6 @@ class DiscreteSpace:
         u, v = self.check_field(u), self.check_field(v)
         return float(u @ (self.M_diag * v))
 
-    def l2_norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(max(self.l2_inner(u, u), 0.0)))
-
     def lp_norm(self, u: np.ndarray, p: float) -> float:
         u = self.check_field(u)
         if p == np.inf:

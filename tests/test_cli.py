@@ -1,12 +1,19 @@
+import dataclasses
+import hashlib
 import json
 import os
+import re
+import tempfile
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nodalflow as nf
 from nodalflow.cli import main, parse_start
-from nodalflow.config import ConfigError, config_hash, load_config
+from nodalflow.config import _DEFAULTS, ConfigError, canonical_text, config_hash, load_config
 
 
 def small_config(tmp_path, **overrides):
@@ -186,3 +193,231 @@ def test_verify_passes_and_detects_tamper(tmp_path):
                  "--out", out_t]) == 5
     rep = json.load(open(os.path.join(out_t, "verify_report.json")))
     assert rep["ps_monitor"]["passed"] is False
+
+
+# -- config schema -------------------------------------------------------------
+
+def _accepted_keys(cls):
+    return {f.name for f in dataclasses.fields(cls) if not f.metadata.get("internal")}
+
+
+# section path -> keys load_config accepts there
+SECTION_KEYS = {
+    (): set(_DEFAULTS),
+    ("grid",): _accepted_keys(nf.GridSpec),
+    ("flow",): _accepted_keys(nf.FlowConfig),
+    ("linking",): _accepted_keys(nf.MinimaxConfig) | {"scan", "snapshots"},
+    ("linking", "scan"): _accepted_keys(nf.ScanConfig),
+    ("tolerances",): {"schauder_samples"},
+}
+
+# numeric leaves of a valid config: (path, value)
+NUMERIC_LEAVES = (
+    [(("lambda",), 1.0), (("mu0",), 0.3), (("seed",), 3),
+     (("grid", "n"), 15), (("grid", "bounds", 0), 0.0), (("grid", "bounds", 1), 1.0),
+     (("tolerances", "schauder_samples"), 10), (("flow", "checkpoint_every"), 5),
+     (("potential", "q"), 4.0), (("linking", "scan", "radius_grid", 1), 2.0),
+     (("linking", "scan", "delta_grid", 0), 0.1)]
+    + [(("flow", f.name), f.default) for f in dataclasses.fields(nf.FlowConfig)
+       if not f.metadata.get("internal") and f.default is not None]
+    + [(("linking", f.name), f.default) for f in dataclasses.fields(nf.MinimaxConfig)
+       if not f.metadata.get("internal")]
+    + [(("linking", "scan", f.name), f.default) for f in dataclasses.fields(nf.ScanConfig)
+       if not isinstance(f.default, tuple)]
+)
+
+
+def _set(tree, path, value):
+    for key in path[:-1]:
+        tree = tree.setdefault(key, {})
+    tree[path[-1]] = value
+
+
+def _base_config():
+    return {"grid": {"dimension": 1, "bounds": [0.0, 1.0], "n": 15},
+            "potential": {"name": "power", "q": 4.0},
+            "linking": {"scan": {"radius_grid": [1.0, 2.0], "delta_grid": [0.1, 1.0]}}}
+
+
+def _merged(user):
+    out = json.loads(json.dumps(_DEFAULTS))
+    for key, val in user.items():
+        if isinstance(val, dict) and isinstance(out.get(key), dict):
+            out[key] = dict(out[key], **val)
+        else:
+            out[key] = val
+    return out
+
+
+_keys = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=12)
+
+
+@given(section=st.sampled_from(sorted(SECTION_KEYS)), key=_keys)
+def test_unknown_key_in_any_section_rejected(section, key):
+    assume(key not in SECTION_KEYS[section])
+    cfg = _base_config()
+    _set(cfg, section + (key,), 1)
+    with pytest.raises(ConfigError, match="unknown"):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("path", [
+    ("flow", "eps"), ("flow", "eps_bar"), ("flow", "disp_cap"), ("flow", "mu0"),
+    ("flow", "level_r"), ("flow", "excision_delta"), ("flow", "excised_points"),
+    ("flow", "j_floor"), ("linking", "sweep_tol_m"), ("linking", "polish_dip"),
+    ("linking", "flow"), ("linking", "scan", "t_modes"),
+    ("linking", "scan", "radius_max"), ("linking", "scan", "n_radius"),
+    ("linking", "scan", "delta_min"), ("linking", "scan", "delta_max"),
+    ("linking", "scan", "n_delta")])
+def test_removed_and_internal_keys_rejected(path):
+    cfg = _base_config()
+    _set(cfg, path, 0.1)
+    with pytest.raises(ConfigError, match="unknown"):
+        load_config(cfg)
+
+
+@given(leaf=st.sampled_from(NUMERIC_LEAVES),
+       bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+def test_non_finite_number_rejected(leaf, bad):
+    path, good = leaf
+    cfg = _base_config()
+    _set(cfg, path, good)
+    load_config(cfg)
+    _set(cfg, path, bad)
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(cfg)
+
+
+@given(leaf=st.sampled_from([(p, v) for p, v in NUMERIC_LEAVES
+                             if isinstance(v, (int, float))]))
+def test_bool_for_number_rejected(leaf):
+    cfg = _base_config()
+    _set(cfg, leaf[0], True)
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("path", [("seed",), ("grid", "n"), ("flow", "max_steps"),
+                                  ("flow", "checkpoint_every"), ("linking", "nr"),
+                                  ("linking", "scan", "n_theta"),
+                                  ("tolerances", "schauder_samples")])
+def test_int_field_needs_integral_value(path):
+    cfg = _base_config()
+    _set(cfg, path, 7.0)   # integral floats are accepted as ints
+    loaded = load_config(cfg)
+    assert loaded.hash == config_hash(loaded.raw)
+    _set(cfg, path, 1.7)
+    with pytest.raises(ConfigError, match="integer"):
+        load_config(cfg)
+
+
+_accepted_configs = st.fixed_dictionaries({}, optional={
+    "grid": st.builds(lambda n: {"dimension": 1, "bounds": [0.0, 2.0], "n": n},
+                      st.integers(2, 300)),
+    "lambda": st.floats(1e-3, 1e3),
+    "mu0": st.one_of(st.just("auto"), st.floats(0.01, 0.99)),
+    "seed": st.one_of(st.integers(0, 2**40), st.integers(0, 99).map(float)),
+    "potential": st.sampled_from(["power:4", "power:3.5", "two_slope:1,2", "capped_power:4,2"]),
+    "flow": st.fixed_dictionaries({}, optional={
+        "tol_m": st.floats(1e-9, 1e-2), "t_max": st.floats(0.1, 100.0),
+        "max_steps": st.integers(1, 10**6), "dt0": st.floats(1e-3, 0.5),
+        "checkpoint_every": st.one_of(st.none(), st.integers(1, 100))}),
+    "linking": st.fixed_dictionaries({}, optional={
+        "nr": st.integers(2, 20), "stall_rel": st.floats(0.0, 1.0),
+        "snapshots": st.booleans(),
+        "scan": st.fixed_dictionaries({}, optional={
+            "n_theta": st.integers(1, 200),
+            "radius_grid": st.lists(st.floats(0.1, 500.0), min_size=1, max_size=5)})}),
+    "tolerances": st.fixed_dictionaries({}, optional={
+        "schauder_samples": st.integers(1, 500)}),
+    "output_dir": st.text(max_size=8),
+})
+
+
+@given(user=_accepted_configs)
+def test_accepted_config_hash_is_of_merged_raw(user):
+    cfg = load_config(user)
+    merged = _merged(user)
+    assert cfg.raw == merged
+    expected = hashlib.sha256(canonical_text(merged).encode()).hexdigest()
+    assert cfg.hash == expected
+
+
+@settings(max_examples=20)
+@given(section=st.sampled_from(sorted(SECTION_KEYS)), key=_keys)
+def test_spectrum_bad_key_exits_2_without_output(section, key):
+    assume(key not in SECTION_KEYS[section])
+    cfg = _base_config()
+    _set(cfg, section + (key,), 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        assert main(["spectrum", "--config", path, "--out", out]) == 2
+        assert not os.path.exists(out)
+
+
+def test_bad_linking_key_exits_2_before_any_stage(tmp_path, capsys):
+    path, _ = small_config(tmp_path, linking={"nr": 5, "bogus": 1})
+    out = tmp_path / "never"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "bogus" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", ["0", "99"])
+def test_spectrum_bad_k_exits_2(tmp_path, capsys, k):
+    path, _ = small_config(tmp_path, grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 15})
+    assert main(["spectrum", "--config", path, "--k", k,
+                 "--out", str(tmp_path / "spec")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_flow_start_csv_of_wrong_length_exits_2(tmp_path, capsys, space_63):
+    path, _ = small_config(tmp_path, mu0=0.3,
+                           grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 15})
+    short = tmp_path / "short.csv"
+    short.write_text(nf.field_to_csv(space_63, np.zeros(63)))
+    assert main(["flow", "--config", path, "--start", str(short),
+                 "--out", str(tmp_path / "flow")]) == 2
+    assert not (tmp_path / "flow").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+_README_TYPES = {int: "integer", float: "number", bool: "boolean",
+                 int | None: "integer or null", tuple[float, ...]: "list of numbers"}
+
+
+def test_readme_lists_the_accepted_keys_with_defaults():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    rows = {m.group(1): (m.group(2), m.group(3)) for m in re.finditer(
+        r"^\| `([a-z_.0-9]+)` \| ([^|]+?) \| ([^|]+?) \|$", readme, re.M)}
+    expected = {".".join(section + (key,)) for section, keys in SECTION_KEYS.items()
+                for key in keys}
+    assert set(rows) == expected
+    sections = {"flow": nf.FlowConfig, "linking": nf.MinimaxConfig,
+                "linking.scan": nf.ScanConfig}
+    for prefix, cls in sections.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if f.metadata.get("internal"):
+                continue
+            doc_type, doc_default = rows[f"{prefix}.{f.name}"]
+            assert doc_type == _README_TYPES[hints[f.name]], f.name
+            if isinstance(f.default, tuple):
+                m = re.fullmatch(r"`geomspace\(([\d.]+), ([\d.]+), (\d+)\)`", doc_default)
+                grid = np.geomspace(float(m.group(1)), float(m.group(2)), int(m.group(3)))
+                assert f.default == tuple(float(x) for x in grid), f.name
+            else:
+                assert json.loads(doc_default.strip("`")) == f.default, f.name
+    for key, val in _DEFAULTS.items():
+        if not isinstance(val, dict):
+            assert json.loads(rows[key][1].strip("`")) == val, key
+    for key, val in {**{f"grid.{k}": v for k, v in _DEFAULTS["grid"].items()},
+                     **{f"tolerances.{k}": v for k, v in _DEFAULTS["tolerances"].items()}
+                     }.items():
+        assert json.loads(rows[key][1].strip("`")) == val, key
