@@ -25,8 +25,8 @@ from .cones import ConeNeighborhood, ProjectionError, check_schauder, fit_mu0
 from .config import ConfigError, RunConfig, load_config
 from .energy import (EnergyProblem, SlopeError, energy, ps_monitor, slope,
                      slope_on_set)
-from .flow import (FlowError, Termination, integrate_flow, load_checkpoint,
-                   monitor_invariance, resume_flow)
+from .flow import (FlowError, FlowState, Termination, integrate_flow,
+                   load_checkpoint, monitor_invariance, resume_flow)
 from .linking import (GapViolation, InvarianceViolation, NoLinkingWindow,
                       NotConverged, build_frame, minimax_iterate)
 from .mesh import MeshError, build_space, field_from_csv, field_to_csv
@@ -86,6 +86,21 @@ def parse_start(space, name: str) -> np.ndarray:
         except (ValueError, StopIteration) as exc:
             raise ConfigError(f"bad start field {name!r}: {exc or 'empty file'}") from exc
     raise ConfigError(f"unrecognized start {name!r}; use zero, c*phi1, c*phi2, or a CSV path")
+
+
+def read_checkpoint(space, path: str) -> tuple[list[FlowState], float]:
+    """The committed states of a checkpoint named on the command line.
+
+    A missing or unreadable file, one with no commit, and a state whose field
+    does not fit the grid are config errors.
+    """
+    try:
+        states, dt_next = load_checkpoint(path)
+        for s in states:
+            space.check_field(s.u)
+    except (OSError, ValueError, MeshError) as exc:
+        raise ConfigError(f"bad checkpoint {path!r}: {exc}") from exc
+    return states, dt_next
 
 
 def _resolve_mu0(cfg: RunConfig, prob, rng, run: _Run) -> float:
@@ -179,6 +194,7 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
 
 def cmd_flow(cfg: RunConfig, outdir: str, start: str, resume: str | None) -> int:
     space = build_space(cfg.grid)
+    checkpoint = read_checkpoint(space, resume) if resume else None
     u0 = None if resume else parse_start(space, start)
     run = _Run(outdir, cfg)
     rngs = _spawn_rngs(cfg.seed)
@@ -187,12 +203,10 @@ def cmd_flow(cfg: RunConfig, outdir: str, start: str, resume: str | None) -> int
     flow_cfg = replace(cfg.flow, mu0=mu0)
     checkpoint_path = os.path.join(outdir, "checkpoint.json")
     if resume:
-        traj = resume_flow(prob, flow_cfg, resume)
+        traj = resume_flow(prob, flow_cfg, checkpoint, checkpoint_path)
         run.log(f"resumed from {resume}")
     else:
-        traj = integrate_flow(prob, u0, flow_cfg,
-                              checkpoint_path=checkpoint_path
-                              if flow_cfg.checkpoint_every else None)
+        traj = integrate_flow(prob, u0, flow_cfg, checkpoint_path=checkpoint_path)
     run.write_text("trajectory.csv", traj.to_csv((f"config_hash={cfg.hash}",)))
     run.write_text("solution.csv",
                    field_to_csv(space, traj.final.u,
@@ -210,9 +224,14 @@ def cmd_flow(cfg: RunConfig, outdir: str, start: str, resume: str | None) -> int
 
 
 def cmd_verify(cfg: RunConfig, outdir: str, start: str | None) -> int:
+    space = build_space(cfg.grid)
+    # the PS monitor reads a stored trajectory or flows from a start field
+    if start and start.endswith(".json"):
+        stored, _ = read_checkpoint(space, start)
+    else:
+        stored, u_start = None, parse_start(space, start or "0.5*phi1")
     run = _Run(outdir, cfg)
     rngs = _spawn_rngs(cfg.seed)
-    space = build_space(cfg.grid)
     prob = EnergyProblem(space, cfg.potential, cfg.lam)
     hyp, mu0, reports, schauder_ok = _pre_stages(cfg, prob, rngs[1], run, write=False)
     sections: dict = {"hypotheses": hyp.to_dict()}
@@ -243,16 +262,11 @@ def cmd_verify(cfg: RunConfig, outdir: str, start: str | None) -> int:
             invariance_fail = invariance_fail or not consistent
         sections["slope_cross_validation"] = cross
 
-        # PS monitor on a stored or freshly computed trajectory
-        if start and os.path.exists(start) and start.endswith(".json"):
-            states, _, _ = load_checkpoint(start)
-            history = [(s.u, s.j, s.m) for s in states]
-            source = start
+        if stored is None:
+            states, source = integrate_flow(prob, u_start, flow_cfg).states, "fresh flow"
         else:
-            traj = integrate_flow(prob, parse_start(space, start or "0.5*phi1"), flow_cfg)
-            history = [(s.u, s.j, s.m) for s in traj.states]
-            source = "fresh flow"
-        ps = ps_monitor(space, history)
+            states, source = stored, start
+        ps = ps_monitor(space, [(s.u, s.j, s.m) for s in states])
         sections["ps_monitor"] = dict(ps.to_dict(), source=source)
         ok = ok and ps.passed
         invariance_fail = invariance_fail or not ps.passed

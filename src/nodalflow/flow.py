@@ -165,6 +165,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
     """
     space = prob.space
     warm: dict = {}
+    saved = 0   # states[:saved] are committed to checkpoint_path
     if _resume is not None:
         states, dt, warm = _resume
         log: list[dict] = []
@@ -236,12 +237,12 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
         dt = min(dt * 1.5, config.dt_max)
         if (checkpoint_path and config.checkpoint_every
                 and (len(states) - 1) % config.checkpoint_every == 0):
-            save_checkpoint(checkpoint_path, states, dt)
+            save_checkpoint(checkpoint_path, states, dt, saved)
+            saved = len(states)
 
-    traj = Trajectory(states, termination, log)
-    if checkpoint_path and config.checkpoint_every:
-        save_checkpoint(checkpoint_path, states, dt)
-    return traj
+    if checkpoint_path and config.checkpoint_every and saved < len(states):
+        save_checkpoint(checkpoint_path, states, dt, saved)
+    return Trajectory(states, termination, log)
 
 
 # -- invariance monitoring ------------------------------------------------------
@@ -317,44 +318,69 @@ def monitor_invariance(space: DiscreteSpace, traj: Trajectory, mu0: float,
     return InvarianceVerdict(cone_ok, energy_ok, gronwall_ok, excision_ok, violations)
 
 
-def estimate_slope_floor(space: DiscreteSpace, traj: Trajectory,
-                         level_r: float, eps_bar: float) -> float:
-    """Empirical floor of (1+||u||) m over band-visiting states (the paper-side
-    constant is existential; this estimate drives the deformation horizon)."""
-    vals = [(1.0 + space.h1_norm(s.u)) * s.m for s in traj.states
-            if abs(s.j - level_r) <= eps_bar and s.m > 0]
-    return min(vals) if vals else 0.0
-
-
 # -- checkpointing ---------------------------------------------------------------
 
 
-def save_checkpoint(path: str, states: list[FlowState], dt_next: float,
-                    extra: dict | None = None):
-    payload = {
-        "dt_next": dt_next,
-        "step": len(states) - 1,
-        "states": [dict(s.summary(), u=[float(x) for x in s.u]) for s in states],
-    }
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+def save_checkpoint(path: str, states: list[FlowState], dt_next: float, start: int = 0):
+    """Commit ``states`` to the JSON Lines checkpoint at ``path``.
+
+    Writes one row per state of ``states[start:]``, then the commit line
+    ``{"dt_next", "step"}``.  ``start`` 0 begins a new file; otherwise the rows
+    are appended after the commit of ``states[:start]``, so each state is
+    written once and committed bytes are never rewritten.
+    """
+    lines = [json.dumps(dict(s.summary(), u=s.u.tolist()), sort_keys=True)
+             for s in states[start:]]
+    lines.append(json.dumps({"dt_next": dt_next, "step": len(states) - 1}, sort_keys=True))
+    with open(path, "w" if start == 0 else "a") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def load_checkpoint(path: str) -> tuple[list[FlowState], float, dict]:
+def load_checkpoint(path: str) -> tuple[list[FlowState], float]:
+    """States and step size of the last commit in the checkpoint at ``path``.
+
+    Rows after the last commit line, and a last line with no newline, are the
+    tail of an interrupted write and are ignored.  Raises ValueError when the
+    file holds no commit or a complete line that is neither a state row nor a
+    commit of the rows before it.
+    """
+    states: list[FlowState] = []
+    committed, dt_next = 0, None
     with open(path) as fh:
-        payload = json.load(fh)
-    states = [FlowState(t=row["t"], u=np.asarray(row["u"]), j=row["j"], m=row["m"],
+        for number, line in enumerate(fh, start=1):
+            if not line.endswith("\n"):
+                break
+            try:
+                row = json.loads(line)
+                if "u" in row:
+                    states.append(FlowState(
+                        t=row["t"], u=np.asarray(row["u"]), j=row["j"], m=row["m"],
                         d_plus=row["d_plus"], d_minus=row["d_minus"],
-                        label=RegionLabel(row["label"]), dt_used=row["dt"])
-              for row in payload["states"]]
-    meta = {k: v for k, v in payload.items() if k not in ("states", "dt_next", "step")}
-    return states, float(payload["dt_next"]), meta
+                        label=RegionLabel(row["label"]), dt_used=row["dt"]))
+                    continue
+                if (set(row) == {"dt_next", "step"} and states
+                        and row["step"] == len(states) - 1):
+                    committed, dt_next = len(states), float(row["dt_next"])
+                    continue
+            except (ValueError, KeyError, TypeError):
+                pass
+            raise ValueError(f"{path}: line {number} is neither a state row nor "
+                             "the commit of the rows before it")
+    if dt_next is None:
+        raise ValueError(f"{path}: no committed state")
+    del states[committed:]
+    return states, dt_next
 
 
-def resume_flow(prob: EnergyProblem, config: FlowConfig, checkpoint_path: str) -> Trajectory:
-    states, dt_next, _ = load_checkpoint(checkpoint_path)
-    return integrate_flow(prob, states[-1].u, config,
-                          checkpoint_path=checkpoint_path,
+def resume_flow(prob: EnergyProblem, config: FlowConfig,
+                checkpoint: str | tuple[list[FlowState], float],
+                checkpoint_path: str | None = None) -> Trajectory:
+    """Continue a checkpointed flow from its last committed state.
+
+    ``checkpoint`` is a checkpoint file or the pair load_checkpoint returned
+    for one.  With ``config.checkpoint_every`` set, the resumed run writes the
+    loaded states and its own to ``checkpoint_path``; the source is only read.
+    """
+    states, dt_next = load_checkpoint(checkpoint) if isinstance(checkpoint, str) else checkpoint
+    return integrate_flow(prob, states[-1].u, config, checkpoint_path=checkpoint_path,
                           _resume=(states, dt_next, {}))

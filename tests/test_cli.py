@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import nodalflow as nf
 from nodalflow.cli import main, parse_start
 from nodalflow.config import _DEFAULTS, ConfigError, canonical_text, config_hash, load_config
+from nodalflow.flow import load_checkpoint, save_checkpoint
 
 
 def small_config(tmp_path, **overrides):
@@ -162,12 +163,59 @@ def test_flow_and_resume_bytes(tmp_path):
                  "--out", out_cut]) == 0
 
     out_res = str(tmp_path / "res")
-    assert main(["flow", "--config", path, "--resume",
-                 os.path.join(out_cut, "checkpoint.json"), "--out", out_res]) == 0
+    source = os.path.join(out_cut, "checkpoint.json")
+    before = open(source, "rb").read()
+    assert main(["flow", "--config", path, "--resume", source, "--out", out_res]) == 0
     for name in ("trajectory.csv", "solution.csv"):
         with open(os.path.join(out_full, name)) as fa, \
              open(os.path.join(out_res, name)) as fb:
             assert fa.read() == fb.read(), name
+
+    # the resume reads its source and writes its own checkpoint into --out
+    assert open(source, "rb").read() == before
+    full, dt_full = load_checkpoint(os.path.join(out_full, "checkpoint.json"))
+    res, dt_res = load_checkpoint(os.path.join(out_res, "checkpoint.json"))
+    assert dt_res == dt_full and len(res) == len(full)
+    for a, b in zip(res, full):
+        assert a.summary() == b.summary() and np.array_equal(a.u, b.u)
+
+
+def _bad_checkpoint(tmp_path, case):
+    """A missing file, rows with no commit, or a 63-node field for a 15-node grid."""
+    path = tmp_path / f"{case}.json"
+    if case != "missing":
+        state = nf.FlowState(0.0, np.zeros(63), 0.0, 0.0, 0.0, 0.0,
+                             nf.RegionLabel.OVERLAP, 0.0)
+        save_checkpoint(str(path), [state], 0.05)
+    if case == "uncommitted":
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+    return path
+
+
+@pytest.mark.parametrize("command", ["flow", "verify"])
+@pytest.mark.parametrize("case", ["missing", "uncommitted", "wrong_length"])
+def test_bad_checkpoint_input_exits_2_without_output(tmp_path, capsys, command, case):
+    path, _ = small_config(tmp_path, mu0=0.3,
+                           grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 15})
+    ck = _bad_checkpoint(tmp_path, case)
+    flag = "--resume" if command == "flow" else "--start"
+    out = tmp_path / "out_dir"
+    assert main([command, "--config", path, flag, str(ck), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_verify_bad_start_csv_exits_2_before_any_stage(tmp_path, capsys):
+    path, _ = small_config(tmp_path, mu0=0.3)
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("x,value\n")
+    out = tmp_path / "never"
+    assert main(["verify", "--config", path, "--start", str(header_only),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_verify_passes_and_detects_tamper(tmp_path):
@@ -182,12 +230,12 @@ def test_verify_passes_and_detects_tamper(tmp_path):
     out_f = str(tmp_path / "vflow")
     assert main(["flow", "--config", path, "--start", "2.5*phi2",
                  "--out", out_f]) == 0
-    ck = json.load(open(os.path.join(out_f, "checkpoint.json")))
-    for row in ck["states"][-3:]:
-        row["m"] = 50.0
-        row["u"] = [x + 0.5 * i for i, x in enumerate(row["u"])]
+    states, dt_next = load_checkpoint(os.path.join(out_f, "checkpoint.json"))
+    for s in states[-3:]:
+        s.m = 50.0
+        s.u = s.u + 0.5 * np.arange(len(s.u))
     tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(ck))
+    save_checkpoint(str(tampered), states, dt_next)
     out_t = str(tmp_path / "verify_t")
     assert main(["verify", "--config", path, "--start", str(tampered),
                  "--out", out_t]) == 5

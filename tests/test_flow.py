@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,14 @@ import pytest
 import nodalflow as nf
 from nodalflow.flow import ARMIJO_C1, cutoff_psi, cutoff_rho, load_checkpoint
 from oracles import newton_discrete
+
+
+def estimate_slope_floor(space, traj, level_r, eps_bar):
+    """Empirical floor of (1+||u||) m over band-visiting states (the paper-side
+    constant is existential; this estimate drives the deformation horizon)."""
+    vals = [(1.0 + space.h1_norm(s.u)) * s.m for s in traj.states
+            if abs(s.j - level_r) <= eps_bar and s.m > 0]
+    return min(vals) if vals else 0.0
 
 
 def test_cutoff_rho_band():
@@ -200,7 +209,7 @@ def test_checkpoint_roundtrip(quartic_63, tmp_path):
     u0 = 1.2 * quartic_63.space.eigenpairs(2)[1][1]
     path = str(tmp_path / "ck.json")
     traj = nf.integrate_flow(quartic_63, u0, cfg, checkpoint_path=path)
-    states, dt_next, _ = load_checkpoint(path)
+    states, dt_next = load_checkpoint(path)
     assert len(states) == len(traj.states)
     for a, b in zip(states, traj.states):
         assert a.j == b.j and a.t == b.t and np.array_equal(a.u, b.u)
@@ -222,6 +231,46 @@ def test_resume_matches_uninterrupted(quartic_63, tmp_path):
     for a, b in zip(resumed.states, full.states):
         assert a.j == b.j and a.t == b.t and a.dt_used == b.dt_used
         assert np.array_equal(a.u, b.u)
+
+
+def test_torn_checkpoint_resumes_from_last_commit(quartic_63, tmp_path):
+    u0 = 1.2 * quartic_63.space.eigenpairs(2)[1][1]
+    cfg = nf.FlowConfig(mu0=0.3, tol_m=1e-6, t_max=10.0, checkpoint_every=5)
+    path = tmp_path / "ck.json"
+    full = nf.integrate_flow(quartic_63, u0, cfg, checkpoint_path=str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    commits = [i for i, ln in enumerate(lines) if b'"u"' not in ln]
+    assert len(commits) >= 3
+    # cut inside the row after the commit of step 10, and again after two
+    # whole rows past that commit
+    last = commits[1]
+    for cut in (b"".join(lines[:last + 1]) + lines[last + 1][:100],
+                b"".join(lines[:last + 3])):
+        torn = tmp_path / "torn.json"
+        torn.write_bytes(cut)
+        states, dt_next = load_checkpoint(str(torn))
+        assert len(states) == 11
+        for a, b in zip(states, full.states):
+            assert a.summary() == b.summary() and np.array_equal(a.u, b.u)
+        assert dt_next == min(1.5 * full.states[10].dt_used, cfg.dt_max)
+        resumed = nf.resume_flow(quartic_63, cfg, str(torn))
+        assert resumed.termination == full.termination
+        assert resumed.to_csv(("h",)) == full.to_csv(("h",))
+
+
+def test_checkpoint_writes_each_state_once(quartic_63, tmp_path):
+    cfg = nf.FlowConfig(mu0=0.3, tol_m=1e-12, t_max=1e3, max_steps=60,
+                        checkpoint_every=1)
+    u0 = 2.5 * quartic_63.space.eigenpairs(2)[1][1]
+    path = tmp_path / "ck.json"
+    traj = nf.integrate_flow(quartic_63, u0, cfg, checkpoint_path=str(path))
+    assert traj.termination is nf.Termination.MAX_STEPS and len(traj.states) == 61
+    rows = [json.loads(ln) for ln in path.read_text().splitlines()]
+    states = [r for r in rows if "u" in r]
+    commits = [r for r in rows if "u" not in r]
+    assert len(states) == 61
+    assert [c["step"] for c in commits] == list(range(1, 61))
+    assert [r["t"] for r in states] == [s.t for s in traj.states]
 
 
 def test_flow_on_2d_rectangle():
@@ -250,7 +299,6 @@ def test_deformation_shadow(quartic_63):
     started away from the excised critical set land below the band or inside a
     cone neighborhood within the horizon 16*eps/b_hat."""
     from nodalflow.linking import _classify_descent, _bisect_separatrix, MinimaxConfig
-    from nodalflow.flow import estimate_slope_floor
     space = quartic_63.space
     mu0 = 0.35
     lam1, phi1 = space.eigenpairs(1)[0]
