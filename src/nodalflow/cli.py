@@ -25,8 +25,8 @@ from .cones import ConeNeighborhood, ProjectionError, check_schauder, fit_mu0
 from .config import ConfigError, RunConfig, load_config
 from .energy import (EnergyProblem, SlopeError, energy, ps_monitor, slope,
                      slope_on_set)
-from .flow import (FlowError, FlowState, Termination, integrate_flow,
-                   load_checkpoint, monitor_invariance, resume_flow)
+from .flow import (FlowState, Termination, integrate_flow, load_checkpoint,
+                   monitor_invariance, resume_flow)
 from .linking import (GapViolation, InvarianceViolation, NoLinkingWindow,
                       NotConverged, build_frame, minimax_iterate)
 from .mesh import MeshError, build_space, field_from_csv, field_to_csv
@@ -203,7 +203,7 @@ def cmd_flow(cfg: RunConfig, outdir: str, start: str, resume: str | None) -> int
     flow_cfg = replace(cfg.flow, mu0=mu0)
     checkpoint_path = os.path.join(outdir, "checkpoint.json")
     if resume:
-        traj = resume_flow(prob, flow_cfg, checkpoint, checkpoint_path)
+        traj = resume_flow(prob, flow_cfg, resume, checkpoint_path, loaded=checkpoint)
         run.log(f"resumed from {resume}")
     else:
         traj = integrate_flow(prob, u0, flow_cfg, checkpoint_path=checkpoint_path)
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except (ConfigError, MeshError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ProjectionError, SlopeError, FlowError) as exc:
+    except (ProjectionError, SlopeError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
 

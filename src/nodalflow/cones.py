@@ -3,9 +3,12 @@ neighborhoods, region classification, and the invariance (Schauder) checker.
 
 All distances and projections live in the energy inner product u'Av, so the
 projection onto P = {u >= 0 nodewise} is an obstacle-type QP, not a nodal
-truncation.  It is solved by a primal-dual active-set iteration: A is an
-M-matrix for these stencils, which guarantees finite convergence; every result
-carries an explicit KKT residual.
+truncation.  On a 1D grid it is solved exactly: w = v - z is the least concave
+majorant of the obstacle, one O(n) hull pass.  On a 2D grid it is solved by a
+primal-dual active-set iteration; in floating point its active sets can cycle
+(exact-arithmetic finite termination does not carry over), so an active set
+that repeats ends the iteration.  Every result carries an explicit KKT
+residual and is rejected when that residual is above tolerance.
 """
 
 from __future__ import annotations
@@ -59,8 +62,10 @@ def project_cone(space: DiscreteSpace, u: np.ndarray, sign: int = 1,
                  warm_active: np.ndarray | None = None) -> ProjectionResult:
     """A-metric projection onto P (sign=+1) or -P (sign=-1).
 
-    Solves min_{v >= 0} (v-z)'A(v-z) with z = sign*u by primal-dual active set;
-    the multiplier is r = A(v-z) with complementarity r_i v_i = 0.
+    Solves min_{v >= 0} (v-z)'A(v-z) with z = sign*u; the multiplier is
+    r = A(v-z) with complementarity r_i v_i = 0.  1D grids take the concave
+    majorant; 2D grids the active set, where ``max_iter`` and ``warm_active``
+    apply.
     """
     u = space.check_field(u)
     z = sign * u
@@ -68,12 +73,78 @@ def project_cone(space: DiscreteSpace, u: np.ndarray, sign: int = 1,
     if np.all(z >= 0.0):
         return ProjectionResult(u.copy(), np.zeros(n), 0.0, 0.0,
                                 np.zeros(n, dtype=bool), 0)
+    if space.grid.dimension == 1:
+        v, active = _concave_majorant(z)
+        return _certify(space, u, sign, v, active, 1, tol)
+    return _active_set(space, u, sign, tol, max_iter, warm_active)
+
+
+def _concave_majorant(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact 1D projection: (v, active) with v = w + z.
+
+    With Dirichlet ends and a uniform grid, A(v-z) >= 0 says w = v - z is
+    concave on the padded nodes 0..n+1, and v >= 0 says w >= -z.  So w is the
+    least concave majorant of (0, max(-z, 0), 0), and the contact nodes, the
+    interior hull vertices, are the active set.  Only nodes with z < 0 can be
+    vertices (w > 0 inside unless z >= 0 everywhere), and no node strictly
+    below the chord of its two neighbours can be one.
+    """
+    n = len(z)
+    g = np.concatenate(([0.0], np.maximum(-z, 0.0), [0.0]))
+    bend = g[:-2] - 2.0 * g[1:-1] + g[2:]
+    if np.all(bend <= 0.0):
+        # the obstacle is its own majorant, so every node is in contact
+        return np.zeros(n), np.ones(n, dtype=bool)
+    nodes = np.flatnonzero((g[1:-1] > 0.0) & (bend <= 0.0)) + 1
+    y = g[nodes]
+    # Usually the nodes between the tangent points from the two ends already
+    # form a concave chain, and then that chain is the hull.
+    lo, hi = int(np.argmax(y / nodes)), int(np.argmax(y / (n + 1 - nodes)))
+    hx = np.concatenate(([0], nodes[lo:hi + 1], [n + 1]))
+    hy = np.concatenate(([0.0], y[lo:hi + 1], [0.0]))
+    if lo > hi or np.any(_below_chord(hx[:-2], hy[:-2], hx[1:-1], hy[1:-1], hx[2:], hy[2:])):
+        hx, hy = _upper_hull(nodes.tolist(), y.tolist(), n + 1)
+    w = np.interp(np.arange(1, n + 1), hx, hy)
+    active = np.zeros(n, dtype=bool)
+    active[np.asarray(hx[1:-1]) - 1] = True
+    return w + z, active
+
+
+def _below_chord(xa, ya, xb, yb, xc, yc):
+    """Whether (xb, yb) lies strictly below the chord from (xa, ya) to (xc, yc),
+    xa < xb < xc."""
+    return (yb - ya) * (xc - xa) < (yc - ya) * (xb - xa)
+
+
+def _upper_hull(xs: list, ys: list, end: int) -> tuple[list, list]:
+    """Monotone-chain upper hull of (0, 0), the points (xs, ys) with
+    0 < xs ascending < end, and (end, 0)."""
+    hx, hy = [0], [0.0]
+    for x, y in zip(xs + [end], ys + [0.0]):
+        while len(hx) > 1 and _below_chord(hx[-2], hy[-2], hx[-1], hy[-1], x, y):
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
+    return hx, hy
+
+
+def _active_set(space: DiscreteSpace, u: np.ndarray, sign: int, tol: float,
+                max_iter: int, warm_active: np.ndarray | None) -> ProjectionResult:
+    """Primal-dual active-set projection (Hintermueller-Ito-Kunisch) on any grid.
+
+    The iteration maps each active set to the next deterministically, so an
+    active set seen before means a cycle: its iterate is returned if the KKT
+    certificate passes.
+    """
+    z = sign * u
+    n = space.dim
     if warm_active is not None and warm_active.shape == (n,):
         active = warm_active.copy()
     else:
         active = z <= 0.0
+    seen = {active.tobytes()}
     v = np.zeros(n)
-    r = np.zeros(n)
     Az = space.A @ z
     for it in range(1, max_iter + 1):
         inactive = ~active
@@ -81,28 +152,39 @@ def project_cone(space: DiscreteSpace, u: np.ndarray, sign: int = 1,
         if inactive.any():
             idx = np.flatnonzero(inactive)
             v[idx] = space.solve_reduced(Az[idx], idx)
-        r = space.A @ (v - z)
-        new_active = (v - r) < 0.0
+        new_active = (v - space.A @ (v - z)) < 0.0
         if np.array_equal(new_active, active):
-            break
+            return _certify(space, u, sign, v, active, it, tol)
+        if new_active.tobytes() in seen:
+            return _certify(space, u, sign, v, active, it, tol,
+                            f"active set cycled after {it} iterations; ")
+        seen.add(new_active.tobytes())
         active = new_active
-    else:
-        raise ProjectionError(f"active set did not settle after {max_iter} iterations")
+    raise ProjectionError(f"active set did not settle after {max_iter} iterations")
 
-    # clamp the certified active block exactly; measure KKT honestly afterwards
+
+def _certify(space: DiscreteSpace, u: np.ndarray, sign: int, v: np.ndarray,
+             active: np.ndarray, iterations: int, tol: float,
+             context: str = "") -> ProjectionResult:
+    """Clamp v on the active block, then measure the KKT residual honestly.
+
+    Raises ProjectionError when the residual is above tol * max(1, |z|_inf).
+    """
+    z = sign * u
     v[active] = 0.0
-    r = space.A @ (v - z)
+    w = v - z
+    r = space.A @ w
     kkt = max(
         float(-min(v.min(initial=0.0), 0.0)),
         float(-min(r[active].min(initial=0.0), 0.0)) if active.any() else 0.0,
-        float(np.max(np.abs(v * r))) if n else 0.0,
+        float(np.max(np.abs(v * r))) if len(v) else 0.0,
     )
     if kkt > tol * max(1.0, float(np.max(np.abs(z)))):
-        raise ProjectionError(f"KKT residual {kkt:.3e} above tolerance {tol:.1e}")
+        raise ProjectionError(f"{context}KKT residual {kkt:.3e} above tolerance {tol:.1e}")
     proj = sign * v
-    resid = u - proj
-    dist = float(np.sqrt(max(resid @ (space.A @ resid), 0.0)))
-    return ProjectionResult(proj, resid, dist, kkt, active, it)
+    # u - proj = -sign * w, so its energy is w'r, to the bit
+    dist = float(np.sqrt(max(w @ r, 0.0)))
+    return ProjectionResult(proj, u - proj, dist, kkt, active, iterations)
 
 
 def dist_to_cones(space: DiscreteSpace, u: np.ndarray) -> tuple[float, float]:

@@ -26,10 +26,6 @@ DISP_CAP = 0.5   # per-step displacement bound: dt <= DISP_CAP/(1+||u||)
 INTERNAL = {"internal": True}   # field metadata: set by the solver, not by a config
 
 
-class FlowError(RuntimeError):
-    pass
-
-
 class Termination(str, Enum):
     SLOPE_BELOW_TOL = "slope_below_tol"
     MAX_TIME = "max_time"
@@ -167,7 +163,9 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
     warm: dict = {}
     saved = 0   # states[:saved] are committed to checkpoint_path
     if _resume is not None:
+        # resume_flow has already copied the loaded states' commit there
         states, dt, warm = _resume
+        saved = len(states)
         log: list[dict] = []
         # refresh warm caches at the resumed head
         head = states[-1]
@@ -372,15 +370,31 @@ def load_checkpoint(path: str) -> tuple[list[FlowState], float]:
     return states, dt_next
 
 
-def resume_flow(prob: EnergyProblem, config: FlowConfig,
-                checkpoint: str | tuple[list[FlowState], float],
-                checkpoint_path: str | None = None) -> Trajectory:
-    """Continue a checkpointed flow from its last committed state.
+def resume_flow(prob: EnergyProblem, config: FlowConfig, checkpoint: str,
+                checkpoint_path: str | None = None,
+                loaded: tuple[list[FlowState], float] | None = None) -> Trajectory:
+    """Continue the flow checkpointed at ``checkpoint`` from its last commit.
 
-    ``checkpoint`` is a checkpoint file or the pair load_checkpoint returned
-    for one.  With ``config.checkpoint_every`` set, the resumed run writes the
-    loaded states and its own to ``checkpoint_path``; the source is only read.
+    ``loaded`` is the pair load_checkpoint returned for ``checkpoint``, when
+    the caller has read it already.  With ``config.checkpoint_every`` set, the
+    resumed run copies the source's committed bytes to ``checkpoint_path``,
+    then appends its own states; the source is only read.
     """
-    states, dt_next = load_checkpoint(checkpoint) if isinstance(checkpoint, str) else checkpoint
+    states, dt_next = loaded if loaded is not None else load_checkpoint(checkpoint)
+    if checkpoint_path and config.checkpoint_every:
+        _copy_committed(checkpoint, checkpoint_path)
     return integrate_flow(prob, states[-1].u, config, checkpoint_path=checkpoint_path,
                           _resume=(states, dt_next, {}))
+
+
+def _copy_committed(source: str, path: str):
+    """Copy the checkpoint ``source`` up to the end of its last commit line.
+
+    The commit line is the only kind that starts with ``{"dt_next"``, and the
+    last line is skipped when it has no newline, as load_checkpoint does.
+    """
+    with open(source, "rb") as fh:
+        data = fh.read()
+    start = data.rfind(b'\n{"dt_next"', 0, data.rfind(b"\n")) + 1
+    with open(path, "wb") as fh:
+        fh.write(data[:data.index(b"\n", start) + 1])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import nodalflow as nf
 from nodalflow.cli import main, parse_start
+from nodalflow.cones import ProjectionError
 from nodalflow.config import _DEFAULTS, ConfigError, canonical_text, config_hash, load_config
 from nodalflow.flow import load_checkpoint, save_checkpoint
 
@@ -76,13 +77,27 @@ def test_invalid_potential_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
-def test_projection_failure_exits_4(tmp_path, capsys):
-    # the active set needs more than max_iter iterations on this grid
-    path, _ = small_config(tmp_path, grid={"dimension": 1, "bounds": [0.0, 1.0],
-                                           "n": 223}, seed=1)
+def test_projection_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def failing_fit(prob, rng):
+        raise ProjectionError("KKT residual 1.000e+00 above tolerance 1.0e-09")
+
+    monkeypatch.setattr("nodalflow.cli.fit_mu0", failing_fit)
+    path, _ = small_config(tmp_path)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert "ProjectionError" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, potential", [(63, "two_slope:1,2"), (223, "power:4")])
+def test_solves_that_the_active_set_could_not_project(tmp_path, n, potential):
+    # n=63 two_slope: a Schauder-stage active set cycled; n=223: the active
+    # set needed more than max_iter iterations
+    path, _ = small_config(tmp_path, grid={"dimension": 1, "bounds": [0.0, 1.0], "n": n},
+                           potential=potential, seed=1)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "minimax_report.json").read_text())
+    assert report["converged"] is True and report["label"] == "sign_changing"
 
 
 def test_solve_artifacts_and_determinism(tmp_path):

@@ -1,8 +1,40 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nodalflow as nf
+from nodalflow.cones import _active_set
 from oracles import enum_project_cone
+
+# The field of a Schauder-stage projection (1D n=63, two_slope:1,2, lambda 1,
+# seed 1) on which the cold primal-dual active set for -P alternates between
+# two sets from iteration 4 on; v and r are ~1e-22 on the node that flips.
+CYCLING_FIELD = np.array([
+    2.9216358535848177e-10, 5.794509791768424e-10, 8.977008571386196e-10,
+    1.250254954258183e-09, 1.6009668716763053e-09, 1.9023725894709502e-09,
+    2.203871217932515e-09, 2.5270328576580387e-09, 2.8503315398646276e-09,
+    2.971816069915578e-09, 3.0999733682803162e-09, 3.5627386851946293e-09,
+    4.047115982296794e-09, 4.5314866103209895e-09, 4.832990494188844e-09,
+    5.139764809580761e-09, 5.46007735437165e-09, 5.74984113492008e-09,
+    5.945061418269554e-09, 6.150215580913575e-09, 6.416271857212274e-09,
+    6.681725382322806e-09, 6.94722178447982e-09, 7.212717761630826e-09,
+    7.477728298292294e-09, 7.717986027938105e-09, 7.958727190255436e-09,
+    8.201865072770954e-09, 8.075490943939679e-09, 7.969278238062737e-09,
+    7.935871906701158e-09, 7.910015533855281e-09, 7.909061638011472e-09,
+    7.920002711880984e-09, 7.929973890676353e-09, 7.769504113804981e-09,
+    7.609034336933627e-09, 7.357282427062683e-09, 7.105270656906019e-09,
+    6.842843870961729e-09, 6.416919319945267e-09, 5.995916240118202e-09,
+    5.57491315949457e-09, 5.170421180975082e-09, 4.8097359007358995e-09,
+    4.452992734350265e-09, 4.099583309531367e-09, 3.7100302229615585e-09,
+    3.3201106909563337e-09, 2.8865823531556044e-09,
+    2.4787499074841667e-09, 2.0666599102671105e-09,
+    1.6873236466184621e-09, 1.3079943701457188e-09, 9.839074006310906e-10,
+    7.141265300589191e-10, 4.342384755060783e-10, 1.66209527535264e-10,
+    7.167914484689623e-11, -2.1116518025078262e-11,
+    -2.5232958274403436e-10, -1.7962561594586453e-10,
+    -8.978617054906537e-11,
+])
 
 
 def test_projection_of_nonnegative_is_identity(space_63, rng):
@@ -134,3 +166,41 @@ def test_kkt_certificate_on_2d_grid(rng):
             assert np.all(sign * pr.projection >= 0.0)
             inner = abs(space.h1_inner(pr.residual, pr.projection))
             assert inner <= 1e-8 * max(space.h1_norm(u) ** 2, 1e-12)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=10), st.sampled_from([1, -1]))
+def test_1d_projection_matches_enumeration_oracle(values, sign):
+    u = np.asarray(values)
+    space = nf.build_space(nf.GridSpec.interval(0.0, 1.0, len(u)))
+    pr = nf.project_cone(space, u, sign)
+    v_oracle, dist_oracle = enum_project_cone(space.A.toarray(), sign * u)
+    scale = max(1.0, float(np.max(np.abs(u))))
+    assert np.allclose(pr.projection, sign * v_oracle, rtol=0.0, atol=1e-9 * scale)
+    assert pr.distance == pytest.approx(dist_oracle, abs=1e-9 * scale)
+
+
+def test_1d_projection_certifies_sign_changing_fields_at_n1023(rng):
+    # the active set needs up to ~n/4.6 iterations on smooth fields, more
+    # than max_iter
+    space = nf.build_space(nf.GridSpec.interval(0.0, 1.0, 1023))
+    x = space.grid.coords()[:, 0]
+    fields = [np.sin(2 * np.pi * x), np.cos(3 * np.pi * x), np.sin(2 * np.pi * x) + 0.3,
+              np.sin(np.pi * x) - 0.5, rng.normal(size=space.dim)]
+    for u in fields:
+        for sign in (1, -1):
+            pr = nf.project_cone(space, u, sign)
+            assert pr.kkt_residual <= 1e-9 * max(1.0, np.max(np.abs(u)))
+            assert np.all(sign * pr.projection >= 0.0) and pr.distance > 0.0
+            inner = abs(space.h1_inner(pr.residual, pr.projection))
+            assert inner <= 1e-8 * space.h1_norm(u) ** 2
+
+
+def test_active_set_returns_a_certified_iterate_when_it_cycles(space_63):
+    pr = _active_set(space_63, CYCLING_FIELD, -1, tol=1e-9, max_iter=80, warm_active=None)
+    assert pr.iterations < 80
+    assert pr.kkt_residual <= 1e-9
+    assert np.all(pr.projection <= 0.0)
+    hull = nf.project_cone(space_63, CYCLING_FIELD, -1)
+    scale = np.max(np.abs(CYCLING_FIELD))
+    assert np.allclose(pr.projection, hull.projection, rtol=0.0, atol=1e-12 * scale)

@@ -258,6 +258,23 @@ def test_torn_checkpoint_resumes_from_last_commit(quartic_63, tmp_path):
         assert resumed.to_csv(("h",)) == full.to_csv(("h",))
 
 
+def test_resume_copies_the_committed_prefix(quartic_63, tmp_path):
+    u0 = 1.2 * quartic_63.space.eigenpairs(2)[1][1]
+    cfg = nf.FlowConfig(mu0=0.3, tol_m=1e-6, t_max=10.0, checkpoint_every=5)
+    path = tmp_path / "ck.json"
+    nf.integrate_flow(quartic_63, u0, cfg, checkpoint_path=str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    commits = [i for i, ln in enumerate(lines) if b'"u"' not in ln]
+    # the source: two commits, then a row torn inside
+    prefix = b"".join(lines[:commits[1] + 1])
+    torn = tmp_path / "torn.json"
+    torn.write_bytes(prefix + lines[commits[1] + 1][:100])
+    out = tmp_path / "out.json"
+    nf.resume_flow(quartic_63, cfg, str(torn), checkpoint_path=str(out))
+    assert out.read_bytes() == path.read_bytes()
+    assert torn.read_bytes() == prefix + lines[commits[1] + 1][:100]
+
+
 def test_checkpoint_writes_each_state_once(quartic_63, tmp_path):
     cfg = nf.FlowConfig(mu0=0.3, tol_m=1e-12, t_max=1e3, max_steps=60,
                         checkpoint_every=1)
