@@ -25,7 +25,7 @@ from .cones import ConeNeighborhood, ProjectionError, check_schauder, fit_mu0
 from .config import ConfigError, RunConfig, load_config
 from .energy import (EnergyProblem, SlopeError, energy, ps_monitor, slope,
                      slope_on_set)
-from .flow import (FlowState, Termination, integrate_flow, load_checkpoint,
+from .flow import (Checkpoint, Termination, integrate_flow, load_checkpoint,
                    monitor_invariance, resume_flow)
 from .linking import (GapViolation, InvarianceViolation, NoLinkingWindow,
                       NotConverged, build_frame, minimax_iterate)
@@ -88,19 +88,19 @@ def parse_start(space, name: str) -> np.ndarray:
     raise ConfigError(f"unrecognized start {name!r}; use zero, c*phi1, c*phi2, or a CSV path")
 
 
-def read_checkpoint(space, path: str) -> tuple[list[FlowState], float]:
+def read_checkpoint(space, path: str) -> Checkpoint:
     """The committed states of a checkpoint named on the command line.
 
     A missing or unreadable file, one with no commit, and a state whose field
     does not fit the grid are config errors.
     """
     try:
-        states, dt_next = load_checkpoint(path)
-        for s in states:
+        checkpoint = load_checkpoint(path)
+        for s in checkpoint.states:
             space.check_field(s.u)
     except (OSError, ValueError, MeshError) as exc:
         raise ConfigError(f"bad checkpoint {path!r}: {exc}") from exc
-    return states, dt_next
+    return checkpoint
 
 
 def _resolve_mu0(cfg: RunConfig, prob, rng, run: _Run) -> float:
@@ -203,7 +203,7 @@ def cmd_flow(cfg: RunConfig, outdir: str, start: str, resume: str | None) -> int
     flow_cfg = replace(cfg.flow, mu0=mu0)
     checkpoint_path = os.path.join(outdir, "checkpoint.json")
     if resume:
-        traj = resume_flow(prob, flow_cfg, resume, checkpoint_path, loaded=checkpoint)
+        traj = resume_flow(prob, flow_cfg, checkpoint, checkpoint_path)
         run.log(f"resumed from {resume}")
     else:
         traj = integrate_flow(prob, u0, flow_cfg, checkpoint_path=checkpoint_path)
@@ -227,7 +227,7 @@ def cmd_verify(cfg: RunConfig, outdir: str, start: str | None) -> int:
     space = build_space(cfg.grid)
     # the PS monitor reads a stored trajectory or flows from a start field
     if start and start.endswith(".json"):
-        stored, _ = read_checkpoint(space, start)
+        stored = read_checkpoint(space, start).states
     else:
         stored, u_start = None, parse_start(space, start or "0.5*phi1")
     run = _Run(outdir, cfg)

@@ -96,32 +96,20 @@ def _concave_majorant(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the obstacle is its own majorant, so every node is in contact
         return np.zeros(n), np.ones(n, dtype=bool)
     nodes = np.flatnonzero((g[1:-1] > 0.0) & (bend <= 0.0)) + 1
-    y = g[nodes]
-    # Usually the nodes between the tangent points from the two ends already
-    # form a concave chain, and then that chain is the hull.
-    lo, hi = int(np.argmax(y / nodes)), int(np.argmax(y / (n + 1 - nodes)))
-    hx = np.concatenate(([0], nodes[lo:hi + 1], [n + 1]))
-    hy = np.concatenate(([0.0], y[lo:hi + 1], [0.0]))
-    if lo > hi or np.any(_below_chord(hx[:-2], hy[:-2], hx[1:-1], hy[1:-1], hx[2:], hy[2:])):
-        hx, hy = _upper_hull(nodes.tolist(), y.tolist(), n + 1)
+    hx, hy = _upper_hull(nodes.tolist(), g[nodes].tolist(), n + 1)
     w = np.interp(np.arange(1, n + 1), hx, hy)
     active = np.zeros(n, dtype=bool)
     active[np.asarray(hx[1:-1]) - 1] = True
     return w + z, active
 
 
-def _below_chord(xa, ya, xb, yb, xc, yc):
-    """Whether (xb, yb) lies strictly below the chord from (xa, ya) to (xc, yc),
-    xa < xb < xc."""
-    return (yb - ya) * (xc - xa) < (yc - ya) * (xb - xa)
-
-
 def _upper_hull(xs: list, ys: list, end: int) -> tuple[list, list]:
     """Monotone-chain upper hull of (0, 0), the points (xs, ys) with
-    0 < xs ascending < end, and (end, 0)."""
+    0 < xs ascending < end, and (end, 0).  A point is dropped when it lies
+    strictly below the chord of its neighbours on the hull."""
     hx, hy = [0], [0.0]
     for x, y in zip(xs + [end], ys + [0.0]):
-        while len(hx) > 1 and _below_chord(hx[-2], hy[-2], hx[-1], hy[-1], x, y):
+        while len(hx) > 1 and (hy[-1] - hy[-2]) * (x - hx[-2]) < (y - hy[-2]) * (hx[-1] - hx[-2]):
             hx.pop()
             hy.pop()
         hx.append(x)

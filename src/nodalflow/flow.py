@@ -152,7 +152,7 @@ def _make_state(prob: EnergyProblem, u: np.ndarray, t: float, dt_used: float,
 
 def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
                    checkpoint_path: str | None = None,
-                   _resume: tuple[list[FlowState], float, dict] | None = None) -> Trajectory:
+                   _resume: tuple[list[FlowState], float, bytes] | None = None) -> Trajectory:
     """Energy-monotone explicit Euler integration of the descending flow.
 
     A step from u with field V = rho*psi*v(u) is accepted only if the energy
@@ -163,9 +163,12 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
     warm: dict = {}
     saved = 0   # states[:saved] are committed to checkpoint_path
     if _resume is not None:
-        # resume_flow has already copied the loaded states' commit there
-        states, dt, warm = _resume
-        saved = len(states)
+        states, dt, committed = _resume
+        if checkpoint_path and config.checkpoint_every:
+            # the loaded states go out as the source's bytes, not re-encoded
+            with open(checkpoint_path, "wb") as fh:
+                fh.write(committed)
+            saved = len(states)
         log: list[dict] = []
         # refresh warm caches at the resumed head
         head = states[-1]
@@ -334,67 +337,67 @@ def save_checkpoint(path: str, states: list[FlowState], dt_next: float, start: i
         fh.write("\n".join(lines) + "\n")
 
 
-def load_checkpoint(path: str) -> tuple[list[FlowState], float]:
-    """States and step size of the last commit in the checkpoint at ``path``.
+@dataclass(frozen=True)
+class Checkpoint:
+    """The last commit of a checkpoint file; unpacks as (states, dt_next)."""
+
+    states: list[FlowState]
+    dt_next: float
+    committed: bytes   # the file's bytes up to the end of that commit line
+
+    def __iter__(self):
+        return iter((self.states, self.dt_next))
+
+
+def load_checkpoint(path: str) -> Checkpoint:
+    """The last commit in the checkpoint at ``path``.
 
     Rows after the last commit line, and a last line with no newline, are the
     tail of an interrupted write and are ignored.  Raises ValueError when the
     file holds no commit or a complete line that is neither a state row nor a
     commit of the rows before it.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     states: list[FlowState] = []
-    committed, dt_next = 0, None
-    with open(path) as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.endswith("\n"):
-                break
-            try:
-                row = json.loads(line)
-                if "u" in row:
-                    states.append(FlowState(
-                        t=row["t"], u=np.asarray(row["u"]), j=row["j"], m=row["m"],
-                        d_plus=row["d_plus"], d_minus=row["d_minus"],
-                        label=RegionLabel(row["label"]), dt_used=row["dt"]))
-                    continue
-                if (set(row) == {"dt_next", "step"} and states
-                        and row["step"] == len(states) - 1):
-                    committed, dt_next = len(states), float(row["dt_next"])
-                    continue
-            except (ValueError, KeyError, TypeError):
-                pass
-            raise ValueError(f"{path}: line {number} is neither a state row nor "
-                             "the commit of the rows before it")
+    committed, dt_next, end, pos = 0, None, 0, 0
+    for number, line in enumerate(io.BytesIO(data), start=1):
+        if not line.endswith(b"\n"):
+            break
+        pos += len(line)
+        try:
+            row = json.loads(line)
+            if "u" in row:
+                states.append(FlowState(
+                    t=row["t"], u=np.asarray(row["u"]), j=row["j"], m=row["m"],
+                    d_plus=row["d_plus"], d_minus=row["d_minus"],
+                    label=RegionLabel(row["label"]), dt_used=row["dt"]))
+                continue
+            if (set(row) == {"dt_next", "step"} and states
+                    and row["step"] == len(states) - 1):
+                committed, dt_next, end = len(states), float(row["dt_next"]), pos
+                continue
+        except (ValueError, KeyError, TypeError):
+            pass
+        raise ValueError(f"{path}: line {number} is neither a state row nor "
+                         "the commit of the rows before it")
     if dt_next is None:
         raise ValueError(f"{path}: no committed state")
     del states[committed:]
-    return states, dt_next
+    return Checkpoint(states, dt_next, data[:end])
 
 
-def resume_flow(prob: EnergyProblem, config: FlowConfig, checkpoint: str,
-                checkpoint_path: str | None = None,
-                loaded: tuple[list[FlowState], float] | None = None) -> Trajectory:
-    """Continue the flow checkpointed at ``checkpoint`` from its last commit.
+def resume_flow(prob: EnergyProblem, config: FlowConfig, checkpoint: str | Checkpoint,
+                checkpoint_path: str | None = None) -> Trajectory:
+    """Continue a checkpointed flow from its last committed state.
 
-    ``loaded`` is the pair load_checkpoint returned for ``checkpoint``, when
-    the caller has read it already.  With ``config.checkpoint_every`` set, the
-    resumed run copies the source's committed bytes to ``checkpoint_path``,
-    then appends its own states; the source is only read.
+    ``checkpoint`` is a checkpoint file or what load_checkpoint returned for
+    one.  With ``config.checkpoint_every`` set, the resumed run writes the
+    source's committed bytes and then its own states to ``checkpoint_path``;
+    the source is only read.
     """
-    states, dt_next = loaded if loaded is not None else load_checkpoint(checkpoint)
-    if checkpoint_path and config.checkpoint_every:
-        _copy_committed(checkpoint, checkpoint_path)
-    return integrate_flow(prob, states[-1].u, config, checkpoint_path=checkpoint_path,
-                          _resume=(states, dt_next, {}))
-
-
-def _copy_committed(source: str, path: str):
-    """Copy the checkpoint ``source`` up to the end of its last commit line.
-
-    The commit line is the only kind that starts with ``{"dt_next"``, and the
-    last line is skipped when it has no newline, as load_checkpoint does.
-    """
-    with open(source, "rb") as fh:
-        data = fh.read()
-    start = data.rfind(b'\n{"dt_next"', 0, data.rfind(b"\n")) + 1
-    with open(path, "wb") as fh:
-        fh.write(data[:data.index(b"\n", start) + 1])
+    if isinstance(checkpoint, str):
+        checkpoint = load_checkpoint(checkpoint)
+    return integrate_flow(prob, checkpoint.states[-1].u, config,
+                          checkpoint_path=checkpoint_path,
+                          _resume=(checkpoint.states, checkpoint.dt_next, checkpoint.committed))

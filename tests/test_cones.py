@@ -53,14 +53,18 @@ def test_projection_of_negative_eigenfield(space_63):
 
 
 def test_projection_matches_enumeration_oracle(rng):
-    space = nf.build_space(nf.GridSpec.interval(0.0, 1.0, 4))
-    A = space.A.toarray()
-    for _ in range(25):
-        u = rng.normal(size=4) * rng.uniform(0.5, 3.0)
-        pr = nf.project_cone(space, u)
-        v_oracle, dist_oracle = enum_project_cone(A, u)
-        assert np.allclose(pr.projection, v_oracle, atol=1e-9)
-        assert pr.distance == pytest.approx(dist_oracle, abs=1e-9)
+    # the 1D grid takes the concave majorant, the 2D grid the active set
+    for grid in (nf.GridSpec.interval(0.0, 1.0, 4),
+                 nf.GridSpec.rectangle([(0.0, 1.5), (0.0, 1.0)], (3, 2))):
+        space = nf.build_space(grid)
+        A = space.A.toarray()
+        for sign in (1, -1):
+            for _ in range(25):
+                u = rng.normal(size=space.dim) * rng.uniform(0.5, 3.0)
+                pr = nf.project_cone(space, u, sign)
+                v_oracle, dist_oracle = enum_project_cone(A, sign * u)
+                assert np.allclose(pr.projection, sign * v_oracle, atol=1e-9)
+                assert pr.distance == pytest.approx(dist_oracle, abs=1e-9)
 
 
 def test_moreau_orthogonality_and_lipschitz(space_63, rng):

@@ -275,6 +275,33 @@ def test_resume_copies_the_committed_prefix(quartic_63, tmp_path):
     assert torn.read_bytes() == prefix + lines[commits[1] + 1][:100]
 
 
+def test_resume_copies_a_commit_written_with_other_key_order(quartic_63, tmp_path):
+    u0 = 1.2 * quartic_63.space.eigenpairs(2)[1][1]
+    cfg = nf.FlowConfig(mu0=0.3, tol_m=1e-6, t_max=10.0, checkpoint_every=5)
+    path = tmp_path / "ck.json"
+    full = nf.integrate_flow(quartic_63, u0, cfg, checkpoint_path=str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    # the same commits as {"step": ..., "dt_next": ...}, cut after the second
+    source, commits = b"", 0
+    for ln in lines:
+        if b'"u"' not in ln:
+            row = json.loads(ln)
+            ln = json.dumps({"step": row["step"], "dt_next": row["dt_next"]}).encode() + b"\n"
+            commits += 1
+        source += ln
+        if commits == 2:
+            break
+    (tmp_path / "src.json").write_bytes(source)
+    out = tmp_path / "out.json"
+    resumed = nf.resume_flow(quartic_63, cfg, str(tmp_path / "src.json"),
+                             checkpoint_path=str(out))
+    assert resumed.to_csv(("h",)) == full.to_csv(("h",))
+    assert out.read_bytes().startswith(source)
+    states, dt_next = load_checkpoint(str(out))
+    assert [s.summary() for s in states] == [s.summary() for s in full.states]
+    assert dt_next == load_checkpoint(str(path)).dt_next
+
+
 def test_checkpoint_writes_each_state_once(quartic_63, tmp_path):
     cfg = nf.FlowConfig(mu0=0.3, tol_m=1e-12, t_max=1e3, max_steps=60,
                         checkpoint_every=1)
