@@ -40,15 +40,23 @@ EXIT_INVARIANCE = 5
 
 
 class _Run:
-    """Output directory plus a timestamped log (log excluded from determinism)."""
+    """Output directory plus a timestamped log (log excluded from determinism).
+
+    Nothing is written until ``open``, which a command calls once its inputs
+    are checked.  ``stage`` names the pipeline stage in progress, for the error
+    report of a numerical failure.
+    """
 
     def __init__(self, outdir: str, cfg: RunConfig):
         self.outdir = outdir
         self.cfg = cfg
-        os.makedirs(outdir, exist_ok=True)
         self._log_path = os.path.join(outdir, "run.log")
+        self.stage = "setup"
+
+    def open(self):
+        os.makedirs(self.outdir, exist_ok=True)
         with open(self._log_path, "w") as fh:
-            fh.write(f"# config_hash={cfg.hash}\n")
+            fh.write(f"# config_hash={self.cfg.hash}\n")
 
     def log(self, message: str):
         with open(self._log_path, "a") as fh:
@@ -64,6 +72,15 @@ class _Run:
         with open(os.path.join(self.outdir, name), "w") as fh:
             fh.write(dumps(payload, indent=2))
             fh.write("\n")
+
+    def write_error(self, exc: Exception):
+        """error_report.json for a failure that ends the command, if the
+        output directory exists."""
+        if not os.path.isdir(self.outdir):
+            return
+        self.write_json("error_report.json", {"error": type(exc).__name__,
+                                              "message": str(exc), "stage": self.stage})
+        self.log(f"stage {self.stage}: {type(exc).__name__}: {exc}")
 
 
 _START_RE = re.compile(r"^([+-]?\d*\.?\d*(?:[eE][+-]?\d+)?)\s*\*?\s*phi([12])$")
@@ -104,6 +121,7 @@ def read_checkpoint(space, path: str) -> Checkpoint:
 
 
 def _resolve_mu0(cfg: RunConfig, prob, rng, run: _Run) -> float:
+    run.stage = "mu0"
     if isinstance(cfg.mu0, float):
         return cfg.mu0
     mu0 = fit_mu0(prob, rng)
@@ -122,6 +140,7 @@ def _pre_stages(cfg: RunConfig, prob, rng, run: _Run, write: bool):
     and the reports when the hypotheses fail; ``write`` writes each stage's
     report file as the stage ends.
     """
+    run.stage = "hypotheses"
     plan = SamplePlan(seed=int(np.random.SeedSequence(cfg.seed).generate_state(1)[0]))
     hyp = check_hypotheses(cfg.potential, plan)
     if write:
@@ -130,6 +149,7 @@ def _pre_stages(cfg: RunConfig, prob, rng, run: _Run, write: bool):
     if not hyp.all_passed:
         return hyp, None, None, False
     mu0 = _resolve_mu0(cfg, prob, rng, run)
+    run.stage = "schauder"
     rep_p, rep_m = check_schauder(prob, mu0, cfg.schauder_samples, rng)
     if write:
         run.write_json("invariance_report.json",
@@ -139,8 +159,8 @@ def _pre_stages(cfg: RunConfig, prob, rng, run: _Run, write: bool):
     return hyp, mu0, (rep_p, rep_m), passed
 
 
-def cmd_solve(cfg: RunConfig, outdir: str) -> int:
-    run = _Run(outdir, cfg)
+def cmd_solve(cfg: RunConfig, run: _Run) -> int:
+    run.open()
     rngs = _spawn_rngs(cfg.seed)
     space = build_space(cfg.grid)
     prob = EnergyProblem(space, cfg.potential, cfg.lam)
@@ -151,6 +171,7 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
     if not passed:
         return EXIT_INVARIANCE
 
+    run.stage = "frame"
     try:
         frame = build_frame(prob, mu0, cfg.scan, rngs[2])
     except NoLinkingWindow as exc:
@@ -168,6 +189,7 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
             run.write_text(f"surface_{iteration:03d}.csv",
                            mesh.to_csv(prob, (f"config_hash={cfg.hash}",
                                               f"iteration={iteration}")))
+    run.stage = "minimax"
     try:
         minimax = replace(cfg.minimax, flow=replace(cfg.flow, mu0=mu0))
         report = minimax_iterate(prob, frame, minimax, rngs[3], snapshot=snapshot)
@@ -192,16 +214,17 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
     return EXIT_OK
 
 
-def cmd_flow(cfg: RunConfig, outdir: str, start: str, resume: str | None) -> int:
+def cmd_flow(cfg: RunConfig, run: _Run, start: str, resume: str | None) -> int:
     space = build_space(cfg.grid)
     checkpoint = read_checkpoint(space, resume) if resume else None
     u0 = None if resume else parse_start(space, start)
-    run = _Run(outdir, cfg)
+    run.open()
     rngs = _spawn_rngs(cfg.seed)
     prob = EnergyProblem(space, cfg.potential, cfg.lam)
     mu0 = _resolve_mu0(cfg, prob, rngs[1], run)
     flow_cfg = replace(cfg.flow, mu0=mu0)
-    checkpoint_path = os.path.join(outdir, "checkpoint.json")
+    checkpoint_path = os.path.join(run.outdir, "checkpoint.json")
+    run.stage = "flow"
     if resume:
         traj = resume_flow(prob, flow_cfg, checkpoint, checkpoint_path)
         run.log(f"resumed from {resume}")
@@ -212,6 +235,7 @@ def cmd_flow(cfg: RunConfig, outdir: str, start: str, resume: str | None) -> int
                    field_to_csv(space, traj.final.u,
                                 (f"config_hash={cfg.hash}",
                                  f"termination={traj.termination.value}")))
+    run.stage = "verdict"
     verdict = monitor_invariance(space, traj, mu0, flow_cfg)
     run.write_json("flow_verdict.json",
                    dict(verdict.to_dict(), termination=traj.termination.value))
@@ -223,14 +247,14 @@ def cmd_flow(cfg: RunConfig, outdir: str, start: str, resume: str | None) -> int
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, outdir: str, start: str | None) -> int:
+def cmd_verify(cfg: RunConfig, run: _Run, start: str | None) -> int:
     space = build_space(cfg.grid)
     # the PS monitor reads a stored trajectory or flows from a start field
     if start and start.endswith(".json"):
         stored = read_checkpoint(space, start).states
     else:
         stored, u_start = None, parse_start(space, start or "0.5*phi1")
-    run = _Run(outdir, cfg)
+    run.open()
     rngs = _spawn_rngs(cfg.seed)
     prob = EnergyProblem(space, cfg.potential, cfg.lam)
     hyp, mu0, reports, schauder_ok = _pre_stages(cfg, prob, rngs[1], run, write=False)
@@ -245,6 +269,7 @@ def cmd_verify(cfg: RunConfig, outdir: str, start: str | None) -> int:
         invariance_fail = not schauder_ok
 
         # slope cross-validation at flow endpoints inside the cone neighborhoods
+        run.stage = "slope_cross_validation"
         cross = []
         flow_cfg = replace(cfg.flow, mu0=mu0, t_max=min(10.0, cfg.flow.t_max))
         for sign in (1, -1):
@@ -262,6 +287,7 @@ def cmd_verify(cfg: RunConfig, outdir: str, start: str | None) -> int:
             invariance_fail = invariance_fail or not consistent
         sections["slope_cross_validation"] = cross
 
+        run.stage = "ps_monitor"
         if stored is None:
             states, source = integrate_flow(prob, u_start, flow_cfg).states, "fresh flow"
         else:
@@ -278,10 +304,10 @@ def cmd_verify(cfg: RunConfig, outdir: str, start: str | None) -> int:
     return EXIT_INVARIANCE if invariance_fail else EXIT_NOT_CONVERGED
 
 
-def cmd_spectrum(cfg: RunConfig, outdir: str, k: int) -> int:
+def cmd_spectrum(cfg: RunConfig, run: _Run, k: int) -> int:
     space = build_space(cfg.grid)
     pairs = space.eigenpairs(k)
-    run = _Run(outdir, cfg)
+    run.open()
     coords = space.grid.coords()
     lines = [f"# config_hash={cfg.hash}",
              "# lambdas=" + ",".join(repr(v) for v, _ in pairs)]
@@ -325,20 +351,21 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    outdir = args.out or cfg.output_dir
+    run = _Run(args.out or cfg.output_dir, cfg)
     try:
         if args.command == "solve":
-            return cmd_solve(cfg, outdir)
+            return cmd_solve(cfg, run)
         if args.command == "flow":
-            return cmd_flow(cfg, outdir, args.start, args.resume)
+            return cmd_flow(cfg, run, args.start, args.resume)
         if args.command == "verify":
-            return cmd_verify(cfg, outdir, args.start)
-        return cmd_spectrum(cfg, outdir, args.k)
+            return cmd_verify(cfg, run, args.start)
+        return cmd_spectrum(cfg, run, args.k)
     except (ConfigError, MeshError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ProjectionError, SlopeError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        run.write_error(exc)
         return EXIT_NOT_CONVERGED
 
 

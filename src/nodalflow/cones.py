@@ -23,7 +23,9 @@ from .mesh import DiscreteSpace
 
 
 class ProjectionError(RuntimeError):
-    """Active-set iteration failed to certify a projection."""
+    """A projection failed its KKT certificate, on either geometry (the 1D
+    concave majorant or the 2D active set), or the 2D active set did not
+    settle within ``max_iter`` iterations."""
 
 
 class RegionLabel(str, Enum):

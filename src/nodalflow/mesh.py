@@ -9,12 +9,20 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
+
+# Band factors of reduced systems kept per space.  An active-set projection
+# warm-started from its previous active set re-factors the system that
+# projection ended on, so a few recent index sets cover most repeats.
+_FACTOR_MEMO = 4
 
 
 class MeshError(ValueError):
@@ -87,7 +95,8 @@ def _stiffness_1d(n: int, h: float) -> sp.csc_matrix:
 class DiscreteSpace:
     """Grid plus the operator pair (A, M) and a generalized eigenpair cache.
 
-    Immutable after construction; all methods are pure.
+    Results are pure functions of the arguments; the state behind them is the
+    eigenpair cache and a bounded memo of reduced band factors.
     """
 
     def __init__(self, grid: GridSpec):
@@ -106,12 +115,15 @@ class DiscreteSpace:
             self.M_diag = np.full(dim, h[0] * h[1])
         self.dim = dim
         self._solver = spla.splu(self.A)
-        # upper band storage of A: _A_band[bw + i - j, j] = A[i, j] for i <= j
+        # A[j - d, j] by column j, for each offset d > 0 of a diagonal that
+        # holds entries of A: 1 in 1D, 1 and n_y in 2D
         coo = self.A.tocoo()
-        self._bw = bw = int(np.max(np.abs(coo.row - coo.col)))
-        self._A_band = np.zeros((bw + 1, dim))
-        for k in range(bw + 1):
-            self._A_band[bw - k, k:] = self.A.diagonal(k)
+        offsets = np.unique(coo.col - coo.row)
+        self._diag = self.A.diagonal()
+        self._upper = {int(d): np.concatenate((np.zeros(d), self.A.diagonal(d)))
+                       for d in offsets[offsets > 0]}
+        self._bw = max(self._upper)
+        self._factors: dict[bytes, Callable[[np.ndarray], tuple]] = {}
         self._eigvals: np.ndarray | None = None
         self._eigvecs: np.ndarray | None = None
 
@@ -161,15 +173,37 @@ class DiscreteSpace:
         active-set QPs).
 
         A principal submatrix of the band matrix A keeps A's bandwidth, so one
-        banded Cholesky solve serves every grid."""
+        banded Cholesky solve serves every grid.  The factors of the last
+        ``_FACTOR_MEMO`` index sets are kept and reused; a reused factor gives
+        the same bits as a fresh one."""
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("array must not contain infs or NaNs")
+        idx = np.asarray(idx, dtype=np.intp)
+        key = idx.tobytes()
+        solve = self._factors.pop(key, None)
+        if solve is None:
+            solve = _band_factor(self._reduced_band(idx))
+        self._factors[key] = solve
+        if len(self._factors) > _FACTOR_MEMO:
+            del self._factors[next(iter(self._factors))]
+        return solve(rhs)[0]
+
+    def _reduced_band(self, idx: np.ndarray) -> np.ndarray:
+        """Upper band storage of A[idx,idx]: sub[bw + i - j, j] = A[idx_i, idx_j].
+
+        Each diagonal offset d of A pairs node idx_j with idx_j - d; where that
+        node is in the subset, at position p, the entry lands at compressed
+        distance j - p <= d.  The band is cut to min(bw, m-1) rows."""
         m = len(idx)
         bw = min(self._bw, m - 1)
         sub = np.zeros((bw + 1, m))
-        for k in range(bw + 1):
-            gap = idx[k:] - idx[:m - k]
-            near = gap <= self._bw
-            sub[bw - k, k:][near] = self._A_band[self._bw - gap[near], idx[k:][near]]
-        return scipy.linalg.solveh_banded(sub, rhs)
+        sub[bw] = self._diag[idx]
+        for d, diagonal in self._upper.items():
+            pos = np.searchsorted(idx, idx - d)
+            cols = np.flatnonzero(idx[pos] == idx - d)
+            sub[bw - cols + pos[cols], cols] = diagonal[idx[cols]]
+        return sub
 
     # -- spectrum ---------------------------------------------------------
 
@@ -204,6 +238,24 @@ class DiscreteSpace:
     @property
     def lambda1(self) -> float:
         return self.eigenpairs(1)[0][0]
+
+
+def _band_factor(band: np.ndarray) -> Callable[[np.ndarray], tuple]:
+    """Factor an upper-form positive definite band once; return its triangular
+    solve, which maps b to (x, info).
+
+    ``scipy.linalg.solveh_banded`` takes ?ptsv (pttrf, then pttrs) for a
+    two-row band and ?pbsv (pbtrf, then pbtrs) otherwise.  The same LAPACK
+    pair is used here, so the result is bit-identical to it."""
+    if band.shape[0] == 2:
+        d, e, info = lapack.dpttrf(band[1], band[0, 1:])
+        solve = partial(lapack.dpttrs, d, e)
+    else:
+        c, info = lapack.dpbtrf(band)
+        solve = partial(lapack.dpbtrs, c)
+    if info > 0:
+        raise scipy.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    return solve
 
 
 def build_space(spec: GridSpec) -> DiscreteSpace:

@@ -40,10 +40,11 @@ def _solve_config(tmp, name, potential, lam, n=127, seed=11):
 def solve_runs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("acceptance")
     runs = {}
-    for name, potential, lam in (("bench", "power:4", 1.0),
-                                 ("bench16", "power:4", 16.0),
-                                 ("two_slope", "two_slope:1,2", 1.0)):
-        path, out = _solve_config(tmp, name, potential, lam)
+    for name, potential, lam, n, seed in (("bench", "power:4", 1.0, 127, 11),
+                                          ("bench16", "power:4", 16.0, 127, 11),
+                                          ("two_slope", "two_slope:1,2", 1.0, 127, 11),
+                                          ("bench1023", "power:4", 1.0, 1023, 1)):
+        path, out = _solve_config(tmp, name, potential, lam, n, seed)
         code = main(["solve", "--config", path, "--out", out])
         runs[name] = {
             "exit": code,
@@ -51,11 +52,11 @@ def solve_runs(tmp_path_factory):
             "report": json.load(open(os.path.join(out, "minimax_report.json"))),
             "invariance": json.load(open(os.path.join(out, "invariance_report.json"))),
             "hypotheses": json.load(open(os.path.join(out, "hypothesis_report.json"))),
+            "space": nf.build_space(nf.GridSpec.interval(0.0, 1.0, n)),
         }
-        space = nf.build_space(nf.GridSpec.interval(0.0, 1.0, 127))
         with open(os.path.join(out, "solution.csv")) as fh:
-            runs[name]["u"] = nf.field_from_csv(space, fh.read())
-    runs["space"] = nf.build_space(nf.GridSpec.interval(0.0, 1.0, 127))
+            runs[name]["u"] = nf.field_from_csv(runs[name]["space"], fh.read())
+    runs["space"] = runs["bench"]["space"]
     return runs
 
 
@@ -261,9 +262,22 @@ def test_acceptance_6_sign_changing_solve(solve_runs):
     scale = np.max(np.abs(u / 4.0))
     rel = np.max(np.abs(u16 - u / 4.0)) / scale
     assert rel <= 1e-4
+
+    # n = 1023: the energy error is O(h^2), so the bound is perfbench's n = 127
+    # tolerance 5e-4 scaled by h^2
+    fine = solve_runs["bench1023"]
+    assert fine["exit"] == 0
+    assert fine["report"]["converged"] and fine["report"]["candidate_slope"] <= 1e-6
+    assert nf.sign_changes(fine["u"]) == 1
+    fine_space = fine["space"]
+    _, j_fine_oracle = shooting_sign_changing(1.0, fine_space.grid.coords().ravel())
+    j_fine = nf.energy(nf.EnergyProblem(fine_space, nf.power_potential(4), 1.0), fine["u"])
+    fine_err = abs(j_fine - j_fine_oracle) / j_fine_oracle
+    assert fine_err <= 5e-4 * (128.0 / 1024.0) ** 2
     _report(6, "sign-changing solve",
             f"J={j_star:.4f} vs oracle {j_oracle:.4f} "
-            f"({abs(j_star - j_oracle) / j_oracle:.2e} rel), scaling {rel:.2e}")
+            f"({abs(j_star - j_oracle) / j_oracle:.2e} rel), scaling {rel:.2e}, "
+            f"n=1023 {fine_err:.2e} rel")
 
 
 def test_acceptance_7_nonsmooth_solve(solve_runs, rng):

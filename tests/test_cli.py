@@ -86,6 +86,10 @@ def test_projection_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert "ProjectionError" in err and err.count("\n") == 1
+    report = json.loads((tmp_path / "out" / "error_report.json").read_text())
+    assert report == {"error": "ProjectionError", "stage": "mu0",
+                      "message": "KKT residual 1.000e+00 above tolerance 1.0e-09",
+                      "config_hash": load_config(json.loads(open(path).read())).hash}
 
 
 @pytest.mark.parametrize("n, potential", [(63, "two_slope:1,2"), (223, "power:4")])
@@ -98,6 +102,16 @@ def test_solves_that_the_active_set_could_not_project(tmp_path, n, potential):
     assert main(["solve", "--config", path, "--out", str(out)]) == 0
     report = json.loads((out / "minimax_report.json").read_text())
     assert report["converged"] is True and report["label"] == "sign_changing"
+
+
+def test_solve_on_a_2d_grid(tmp_path):
+    path, _ = small_config(tmp_path, grid={"dimension": 2, "bounds": [[0.0, 2.0], [0.0, 1.0]],
+                                           "n": [15, 7]}, seed=1)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "minimax_report.json").read_text())
+    assert report["converged"] is True and report["label"] == "sign_changing"
+    assert report["candidate_slope"] <= 1e-6
 
 
 def test_solve_artifacts_and_determinism(tmp_path):

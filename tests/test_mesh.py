@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nodalflow as nf
+from nodalflow import mesh
 from nodalflow.mesh import MeshError
 
 
@@ -91,6 +93,24 @@ def test_dual_norm_is_riesz_norm(space_63, rng):
     assert space_63.dual_norm(g) == pytest.approx(space_63.h1_norm(u), rel=1e-10)
 
 
+def loop_band_solve(space, rhs, idx):
+    """Reference reduced solve: the band of A[idx,idx] copied row by row from a
+    band copy of A, then ``scipy.linalg.solveh_banded``."""
+    coo = space.A.tocoo()
+    full_bw = int(np.max(np.abs(coo.row - coo.col)))
+    band = np.zeros((full_bw + 1, space.dim))
+    for k in range(full_bw + 1):
+        band[full_bw - k, k:] = space.A.diagonal(k)
+    m = len(idx)
+    bw = min(full_bw, m - 1)
+    sub = np.zeros((bw + 1, m))
+    for k in range(bw + 1):
+        gap = idx[k:] - idx[:m - k]
+        near = gap <= full_bw
+        sub[bw - k, k:][near] = band[full_bw - gap[near], idx[k:][near]]
+    return scipy.linalg.solveh_banded(sub, rhs)
+
+
 @pytest.mark.parametrize("spec", [
     nf.GridSpec.interval(0.0, 1.0, 127),
     nf.GridSpec.interval(0.0, 1.0, 1023),
@@ -109,6 +129,20 @@ def test_solve_reduced_matches_dense(spec, rng):
         x = space.solve_reduced(rhs, idx)
         ref = np.linalg.solve(A[np.ix_(idx, idx)], rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    # bit for bit the loop-assembled band and solveh_banded, whether the
+    # factor is fresh or reused: every subset is solved twice, interleaved
+    # with more distinct subsets than the memo holds
+    subsets += [np.sort(rng.choice(n, size=size, replace=False))
+                for size in (1, 2, 2, 3, 3, space._bw + 1, space._bw + 2)]
+    subsets += [np.array([0, 1]), np.array([n - 2, n - 1]),
+                np.unique([0, 1, space._bw]), np.unique([0, space._bw, space._bw + 1])]
+    for j in range(0, len(subsets), 3):
+        for idx in subsets[j:j + 3] * 2:
+            rhs = rng.normal(size=idx.size)
+            assert np.array_equal(space.solve_reduced(rhs, idx),
+                                  loop_band_solve(space, rhs, idx))
+    assert len(space._factors) == mesh._FACTOR_MEMO
 
 
 def test_2d_rectangle_eigenvalues():
