@@ -177,6 +177,7 @@ class DiscreteSpace:
         ``_FACTOR_MEMO`` index sets are kept and reused; a reused factor gives
         the same bits as a fresh one."""
         rhs = np.asarray(rhs, dtype=float)
+        # the LAPACK calls do not check their input; solveh_banded did
         if not np.all(np.isfinite(rhs)):
             raise ValueError("array must not contain infs or NaNs")
         idx = np.asarray(idx, dtype=np.intp)
@@ -194,7 +195,8 @@ class DiscreteSpace:
 
         Each diagonal offset d of A pairs node idx_j with idx_j - d; where that
         node is in the subset, at position p, the entry lands at compressed
-        distance j - p <= d.  The band is cut to min(bw, m-1) rows."""
+        distance j - p <= d.  ``searchsorted`` gives p <= j, so every lookup is
+        in range.  The band is cut to min(bw, m-1) rows."""
         m = len(idx)
         bw = min(self._bw, m - 1)
         sub = np.zeros((bw + 1, m))

@@ -143,6 +143,8 @@ def test_solve_reduced_matches_dense(spec, rng):
             assert np.array_equal(space.solve_reduced(rhs, idx),
                                   loop_band_solve(space, rhs, idx))
     assert len(space._factors) == mesh._FACTOR_MEMO
+    with pytest.raises(ValueError):
+        space.solve_reduced(np.array([0.0, np.nan]), np.array([0, 1]))
 
 
 def test_2d_rectangle_eigenvalues():
