@@ -8,7 +8,9 @@ majorant of the obstacle, one O(n) hull pass.  On a 2D grid it is solved by a
 primal-dual active-set iteration; in floating point its active sets can cycle
 (exact-arithmetic finite termination does not carry over), so an active set
 that repeats ends the iteration.  Every result carries an explicit KKT
-residual and is rejected when that residual is above tolerance.
+residual and is rejected when that residual is above tolerance.  A region
+label only asks whether a distance is at most mu0; two exact bounds on the
+distance answer that for most fields, and only the rest are projected.
 """
 
 from __future__ import annotations
@@ -20,6 +22,14 @@ import numpy as np
 
 from ._serial import dumps
 from .mesh import DiscreteSpace
+
+
+# Relative slack on the distance bounds that region_of screens with, in units
+# of eps * space.condition: sqrt(w'Aw) of a smooth w loses about that much
+# relative accuracy to cancellation, in a projected distance and in the
+# bounds alike, so their rounding cannot decide a label the projected
+# distance would not.
+SCREEN_ROUNDING = 4.0
 
 
 class ProjectionError(RuntimeError):
@@ -60,14 +70,12 @@ class ProjectionResult:
 
 
 def project_cone(space: DiscreteSpace, u: np.ndarray, sign: int = 1,
-                 tol: float = 1e-9, max_iter: int = 80,
-                 warm_active: np.ndarray | None = None) -> ProjectionResult:
+                 tol: float = 1e-9, max_iter: int = 80) -> ProjectionResult:
     """A-metric projection onto P (sign=+1) or -P (sign=-1).
 
     Solves min_{v >= 0} (v-z)'A(v-z) with z = sign*u; the multiplier is
     r = A(v-z) with complementarity r_i v_i = 0.  1D grids take the concave
-    majorant; 2D grids the active set, where ``max_iter`` and ``warm_active``
-    apply.
+    majorant; 2D grids the active set, where ``max_iter`` applies.
     """
     u = space.check_field(u)
     z = sign * u
@@ -78,7 +86,7 @@ def project_cone(space: DiscreteSpace, u: np.ndarray, sign: int = 1,
     if space.grid.dimension == 1:
         v, active = _concave_majorant(z)
         return _certify(space, u, sign, v, active, 1, tol)
-    return _active_set(space, u, sign, tol, max_iter, warm_active)
+    return _active_set(space, u, sign, tol, max_iter)
 
 
 def _concave_majorant(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +128,7 @@ def _upper_hull(xs: list, ys: list, end: int) -> tuple[list, list]:
 
 
 def _active_set(space: DiscreteSpace, u: np.ndarray, sign: int, tol: float,
-                max_iter: int, warm_active: np.ndarray | None) -> ProjectionResult:
+                max_iter: int) -> ProjectionResult:
     """Primal-dual active-set projection (Hintermueller-Ito-Kunisch) on any grid.
 
     The iteration maps each active set to the next deterministically, so an
@@ -129,10 +137,7 @@ def _active_set(space: DiscreteSpace, u: np.ndarray, sign: int, tol: float,
     """
     z = sign * u
     n = space.dim
-    if warm_active is not None and warm_active.shape == (n,):
-        active = warm_active.copy()
-    else:
-        active = z <= 0.0
+    active = z <= 0.0
     seen = {active.tobytes()}
     v = np.zeros(n)
     Az = space.A @ z
@@ -182,12 +187,33 @@ def dist_to_cones(space: DiscreteSpace, u: np.ndarray) -> tuple[float, float]:
     return (project_cone(space, u, 1).distance, project_cone(space, u, -1).distance)
 
 
-def region_of(space: DiscreteSpace, u: np.ndarray, mu0: float,
-              dists: tuple[float, float] | None = None) -> RegionLabel:
+def _within(space: DiscreteSpace, u: np.ndarray, sign: int, mu: float) -> bool:
+    """Whether dist(u, sign*P) <= mu.
+
+    With n = min(sign*u, 0), sign*u - n lies in P, so dist <= |n|_A; and the
+    nodewise truncation n is the M-nearest offset to P, so with the Poincare
+    inequality |w|_A >= sqrt(lambda1)*|w|_M, dist >= sqrt(lambda1)*|n|_M.  Only
+    a u whose two bounds, widened by SCREEN_ROUNDING for rounding, straddle mu
+    is projected.
+    """
+    neg = np.minimum(sign * u, 0.0)
+    if not neg.any():
+        return True
+    margin = SCREEN_ROUNDING * np.finfo(float).eps * space.condition
+    if np.sqrt(space.lambda1 * (neg @ (space.M_diag * neg))) * (1.0 - margin) > mu:
+        return False
+    if np.sqrt(neg @ (space.A @ neg)) * (1.0 + margin) <= mu:
+        return True
+    return project_cone(space, u, sign).distance <= mu
+
+
+def region_of(space: DiscreteSpace, u: np.ndarray, mu0: float) -> RegionLabel:
+    """Which of D+(mu0) and D-(mu0) hold u; the label that the projected
+    distances give, mostly decided without projecting."""
     if not 0 < mu0 < 1:
         raise ValueError(f"mu0 must lie in (0, 1), got {mu0}")
-    d_plus, d_minus = dists if dists is not None else dist_to_cones(space, u)
-    near_p, near_m = d_plus <= mu0, d_minus <= mu0
+    u = space.check_field(u)
+    near_p, near_m = _within(space, u, 1, mu0), _within(space, u, -1, mu0)
     if near_p and near_m:
         return RegionLabel.OVERLAP
     if near_p:

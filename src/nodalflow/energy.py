@@ -12,6 +12,7 @@ normal-cone criterion (0 in the box plus the cone of active outward normals).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -36,7 +37,9 @@ class EnergyProblem:
         if self.lam <= 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
 
+    @cached_property
     def coefficient(self) -> np.ndarray | float:
+        """The potential's coefficient at the nodes, evaluated once per problem."""
         return self.potential.coefficient_values(self.space.grid.coords())
 
 
@@ -60,7 +63,7 @@ class SubdifferentialBox:
 def energy(prob: EnergyProblem, u: np.ndarray) -> float:
     u = prob.space.check_field(u)
     quad = 0.5 * float(u @ (prob.space.A @ u))
-    c = prob.coefficient()
+    c = prob.coefficient
     pot = float(np.sum(c * prob.space.M_diag * prob.potential.value(u)))
     return quad - prob.lam * pot
 
@@ -68,7 +71,7 @@ def energy(prob: EnergyProblem, u: np.ndarray) -> float:
 def subdifferential_box(prob: EnergyProblem, u: np.ndarray) -> SubdifferentialBox:
     u = prob.space.check_field(u)
     lo, hi = prob.potential.interval_arrays(u)
-    c = prob.coefficient()
+    c = prob.coefficient
     return SubdifferentialBox(
         base=prob.space.A @ u, lo=c * lo, hi=c * hi,
         lam=prob.lam, weights=prob.space.M_diag,

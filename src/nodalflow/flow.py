@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -65,14 +65,41 @@ class FlowConfig:
 
 @dataclass
 class FlowState:
+    """One point of a flow.
+
+    ``d_plus`` and ``d_minus`` are dist(u, P) and dist(u, -P).  A state given
+    a ``space`` and None for both projects each the first time it is read,
+    and keeps it; ``label`` never needs them.
+    """
+
     t: float
     u: np.ndarray
     j: float
     m: float
-    d_plus: float
-    d_minus: float
+    d_plus: float | None
+    d_minus: float | None
     label: RegionLabel
     dt_used: float
+    space: InitVar[DiscreteSpace | None] = None
+
+    def __post_init__(self, space):
+        if space is not None:
+            self._space = space
+            del self.d_plus, self.d_minus
+
+    def __getstate__(self):
+        # copies and pickles carry the distances, not the space, whose
+        # factorization can be neither copied nor pickled
+        return dict(vars(self), d_plus=self.d_plus, d_minus=self.d_minus, _space=None)
+
+    def __getattr__(self, name):
+        # reached only for a distance that is not measured yet
+        space = self.__dict__.get("_space")
+        if space is None or name not in ("d_plus", "d_minus"):
+            raise AttributeError(name)
+        value = project_cone(space, self.u, 1 if name == "d_plus" else -1).distance
+        setattr(self, name, value)
+        return value
 
     def summary(self) -> dict:
         return {"t": self.t, "j": self.j, "m": self.m, "d_plus": self.d_plus,
@@ -138,16 +165,13 @@ def pseudo_gradient(prob: EnergyProblem, u: np.ndarray,
 
 
 def _make_state(prob: EnergyProblem, u: np.ndarray, t: float, dt_used: float,
-                mu0: float, warm: dict) -> FlowState:
-    pr_p = project_cone(prob.space, u, 1, warm_active=warm.get("act_p"))
-    pr_m = project_cone(prob.space, u, -1, warm_active=warm.get("act_m"))
-    warm["act_p"], warm["act_m"] = pr_p.active, pr_m.active
+                mu0: float, warm: dict, j: float | None = None) -> FlowState:
+    """The flow state at u; ``j``, when given, is energy(prob, u)."""
     res = slope(prob, u, w0=warm.get("w"))
     warm["w"] = res.selection
     warm["slope"] = res
-    label = region_of(prob.space, u, mu0, dists=(pr_p.distance, pr_m.distance))
-    return FlowState(t, u.copy(), energy(prob, u), res.value,
-                     pr_p.distance, pr_m.distance, label, dt_used)
+    return FlowState(t, u.copy(), energy(prob, u) if j is None else j, res.value,
+                     None, None, region_of(prob.space, u, mu0), dt_used, prob.space)
 
 
 def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
@@ -172,7 +196,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
         log: list[dict] = []
         # refresh warm caches at the resumed head
         head = states[-1]
-        _make_state(prob, head.u, head.t, head.dt_used, config.mu0, warm)
+        _make_state(prob, head.u, head.t, head.dt_used, config.mu0, warm, head.j)
     else:
         u0 = space.check_field(u0)
         states = [_make_state(prob, u0, 0.0, 0.0, config.mu0, warm)]
@@ -225,7 +249,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
             termination = Termination.STEP_FAILURE
             break
 
-        new = _make_state(prob, trial, s.t + dt, dt, config.mu0, warm)
+        new = _make_state(prob, trial, s.t + dt, dt, config.mu0, warm, j_trial)
         states.append(new)
         if new.label != s.label:
             log.append({"step": len(states) - 1, "event": "region_change",

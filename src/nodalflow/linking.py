@@ -280,6 +280,10 @@ class MinimaxConfig:
     mesh_tol: float = 1e-2
     flow: FlowConfig = field(default_factory=FlowConfig, metadata=INTERNAL)
 
+    def __post_init__(self):
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
+
 
 @dataclass
 class MinimaxReport:
@@ -368,7 +372,7 @@ def _potential_curvature(prob: EnergyProblem, u: np.ndarray) -> np.ndarray:
     """Nodal d/ds of the selection j'(u_i), by central differences off kinks."""
     h = 1e-6 * (1.0 + np.abs(u))
     dw = (prob.potential.derivative(u + h) - prob.potential.derivative(u - h)) / (2 * h)
-    c = prob.coefficient()
+    c = prob.coefficient
     return c * dw
 
 
@@ -495,12 +499,8 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
                             max_steps=min(cfg.flow.max_steps, 4000))
         mesh = deform_surface(prob, mesh, sweep_cfg)
 
-    # extraction: bisect the stalled maximizer across the descent separatrix
-    labels = mesh.labels(prob, mu0)
-    js = mesh.energies(prob)
-    smask = np.array([[labels[i, k] is RegionLabel.SIGN_CHANGING
-                       for k in range(cfg.nt)] for i in range(cfg.nr)])
-    masked = np.where(smask, js, -np.inf)
+    # extraction: bisect the stalled maximizer across the descent separatrix;
+    # the last sweep ends before deforming, so its labels and energies stand
     order = np.argsort(-masked, axis=None)
     wrong_region = 0
     candidate_state = None

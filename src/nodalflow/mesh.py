@@ -9,20 +9,14 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
-
-# Band factors of reduced systems kept per space.  An active-set projection
-# warm-started from its previous active set re-factors the system that
-# projection ended on, so a few recent index sets cover most repeats.
-_FACTOR_MEMO = 4
 
 
 class MeshError(ValueError):
@@ -96,7 +90,7 @@ class DiscreteSpace:
     """Grid plus the operator pair (A, M) and a generalized eigenpair cache.
 
     Results are pure functions of the arguments; the state behind them is the
-    eigenpair cache and a bounded memo of reduced band factors.
+    eigenpair cache.
     """
 
     def __init__(self, grid: GridSpec):
@@ -123,7 +117,6 @@ class DiscreteSpace:
         self._upper = {int(d): np.concatenate((np.zeros(d), self.A.diagonal(d)))
                        for d in offsets[offsets > 0]}
         self._bw = max(self._upper)
-        self._factors: dict[bytes, Callable[[np.ndarray], tuple]] = {}
         self._eigvals: np.ndarray | None = None
         self._eigvecs: np.ndarray | None = None
 
@@ -173,22 +166,13 @@ class DiscreteSpace:
         active-set QPs).
 
         A principal submatrix of the band matrix A keeps A's bandwidth, so one
-        banded Cholesky solve serves every grid.  The factors of the last
-        ``_FACTOR_MEMO`` index sets are kept and reused; a reused factor gives
-        the same bits as a fresh one."""
+        banded Cholesky solve serves every grid."""
         rhs = np.asarray(rhs, dtype=float)
         # the LAPACK calls do not check their input; solveh_banded did
         if not np.all(np.isfinite(rhs)):
             raise ValueError("array must not contain infs or NaNs")
         idx = np.asarray(idx, dtype=np.intp)
-        key = idx.tobytes()
-        solve = self._factors.pop(key, None)
-        if solve is None:
-            solve = _band_factor(self._reduced_band(idx))
-        self._factors[key] = solve
-        if len(self._factors) > _FACTOR_MEMO:
-            del self._factors[next(iter(self._factors))]
-        return solve(rhs)[0]
+        return _band_solve(self._reduced_band(idx), rhs)
 
     def _reduced_band(self, idx: np.ndarray) -> np.ndarray:
         """Upper band storage of A[idx,idx]: sub[bw + i - j, j] = A[idx_i, idx_j].
@@ -239,12 +223,20 @@ class DiscreteSpace:
 
     @property
     def lambda1(self) -> float:
-        return self.eigenpairs(1)[0][0]
+        if self._eigvals is None:
+            self._compute_eigen(1)
+        return float(self._eigvals[0])
+
+    @cached_property
+    def condition(self) -> float:
+        """Gershgorin bound on lambda_max / lambda_1 of A phi = lambda M phi."""
+        rows = np.asarray(abs(self.A).sum(axis=1)).ravel() / self.M_diag
+        return float(rows.max()) / self.lambda1
 
 
-def _band_factor(band: np.ndarray) -> Callable[[np.ndarray], tuple]:
-    """Factor an upper-form positive definite band once; return its triangular
-    solve, which maps b to (x, info).
+def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with an upper-form positive definite band: factor, then the two
+    triangular solves.
 
     ``scipy.linalg.solveh_banded`` takes ?ptsv (pttrf, then pttrs) for a
     two-row band and ?pbsv (pbtrf, then pbtrs) otherwise.  The same LAPACK
@@ -257,7 +249,7 @@ def _band_factor(band: np.ndarray) -> Callable[[np.ndarray], tuple]:
         solve = partial(lapack.dpbtrs, c)
     if info > 0:
         raise scipy.linalg.LinAlgError(f"{info}th leading minor not positive definite")
-    return solve
+    return solve(rhs)[0]
 
 
 def build_space(spec: GridSpec) -> DiscreteSpace:

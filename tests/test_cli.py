@@ -135,6 +135,22 @@ def test_solve_artifacts_and_determinism(tmp_path):
         assert f"config_hash={expected}" in fh.readline()
 
 
+def test_screened_labels_leave_solve_artifacts_unchanged(tmp_path, monkeypatch):
+    # region_of decides most labels by distance bounds; projecting every one
+    # instead must give the same bytes
+    path, _ = small_config(tmp_path)
+    screened, projected = tmp_path / "screened", tmp_path / "projected"
+    assert main(["solve", "--config", path, "--out", str(screened)]) == 0
+    monkeypatch.setattr(nf.cones, "_within", lambda space, u, sign, mu:
+                        nf.project_cone(space, u, sign).distance <= mu)
+    assert main(["solve", "--config", path, "--out", str(projected)]) == 0
+    names = sorted(p.name for p in screened.iterdir() if p.suffix in (".csv", ".json"))
+    assert "solution.csv" in names and names == sorted(p.name for p in projected.iterdir()
+                           if p.suffix in (".csv", ".json"))
+    for name in names:
+        assert (screened / name).read_bytes() == (projected / name).read_bytes(), name
+
+
 def test_seed_override_changes_hash(tmp_path):
     path, raw = small_config(tmp_path)
     out = str(tmp_path / "spec_out")

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodalflow as nf
+from nodalflow import cones
 from nodalflow.cones import _active_set
 from oracles import enum_project_cone
 
@@ -201,7 +202,7 @@ def test_1d_projection_certifies_sign_changing_fields_at_n1023(rng):
 
 
 def test_active_set_returns_a_certified_iterate_when_it_cycles(space_63):
-    pr = _active_set(space_63, CYCLING_FIELD, -1, tol=1e-9, max_iter=80, warm_active=None)
+    pr = _active_set(space_63, CYCLING_FIELD, -1, tol=1e-9, max_iter=80)
     # iteration 6 yields iteration 5's active set again, so the cycle guard ends it
     assert pr.iterations == 6
     assert pr.kkt_residual <= 1e-9
@@ -209,3 +210,66 @@ def test_active_set_returns_a_certified_iterate_when_it_cycles(space_63):
     hull = nf.project_cone(space_63, CYCLING_FIELD, -1)
     scale = np.max(np.abs(CYCLING_FIELD))
     assert np.allclose(pr.projection, hull.projection, rtol=0.0, atol=1e-12 * scale)
+
+
+# -- the bound screen of region_of ---------------------------------------------
+
+SCREEN_SPACES = {
+    "1d": nf.build_space(nf.GridSpec.interval(0.0, 1.0, 63)),
+    "2d": nf.build_space(nf.GridSpec.rectangle([(0.0, 1.4), (0.0, 1.0)], (7, 5))),
+}
+
+
+def _screen_field(space, seed, kind):
+    """A random, eigenmode or mixed field; a single mode k=1 makes both
+    distance bounds tight."""
+    rng = np.random.default_rng(seed)
+    modes = [vec for _, vec in space.eigenpairs(6)]
+    if kind == "random":
+        return rng.normal(size=space.dim) * rng.uniform(0.01, 5.0)
+    if kind == "mode":
+        return rng.normal() * modes[rng.integers(0, len(modes))]
+    return (sum(c * m for c, m in zip(rng.normal(size=3), modes))
+            + rng.uniform(0.0, 0.2) * rng.normal(size=space.dim))
+
+
+def _bounds(space, u, sign):
+    neg = np.minimum(sign * u, 0.0)
+    return (np.sqrt(space.lambda1 * (neg @ (space.M_diag * neg))),
+            np.sqrt(neg @ (space.A @ neg)))
+
+
+def _projected_label(space, u, mu0):
+    d_plus, d_minus = nf.dist_to_cones(space, u)
+    near = (d_plus <= mu0, d_minus <= mu0)
+    return {(True, True): nf.RegionLabel.OVERLAP, (True, False): nf.RegionLabel.POSITIVE,
+            (False, True): nf.RegionLabel.NEGATIVE,
+            (False, False): nf.RegionLabel.SIGN_CHANGING}[near]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(SCREEN_SPACES)), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "mode", "mixed"]), st.sampled_from([1, -1]),
+       st.sampled_from([None, 1.0 - 1e-9, 1.0 + 1e-9]), st.floats(0.05, 0.95))
+def test_screened_region_equals_the_projected_label(geometry, seed, kind, sign, edge, mu0):
+    space = SCREEN_SPACES[geometry]
+    u = _screen_field(space, seed, kind)
+    if edge is not None:
+        # scale u so that dist(u, sign*P) = mu0 * (1 -+ 1e-9): on the edge of D
+        d = nf.project_cone(space, u, sign).distance
+        if d > 0.0:
+            u = u * (mu0 * edge / d)
+    assert nf.region_of(space, u, mu0) is _projected_label(space, u, mu0)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(SCREEN_SPACES)), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "mode", "mixed"]), st.sampled_from([1, -1]))
+def test_cone_distance_bounds_hold(geometry, seed, kind, sign):
+    # sqrt(lambda1) |u^-|_M <= dist(u, P) <= |u^-|_A, up to the screen's slack
+    space = SCREEN_SPACES[geometry]
+    u = _screen_field(space, seed, kind)
+    lo, hi = _bounds(space, u, sign)
+    d = nf.project_cone(space, u, sign).distance
+    margin = cones.SCREEN_ROUNDING * np.finfo(float).eps * space.condition
+    assert lo * (1.0 - margin) <= d <= hi * (1.0 + margin)

@@ -1,10 +1,12 @@
 import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 import nodalflow as nf
+from nodalflow import cones, flow
 from nodalflow.flow import ARMIJO_C1, cutoff_psi, cutoff_rho, load_checkpoint
 from oracles import newton_discrete
 
@@ -120,6 +122,55 @@ def test_flow_cone_invariance(quartic_63, rng):
             verdict = nf.monitor_invariance(space, traj, mu0, cfg)
             assert verdict.cone_invariant, verdict.violations
             assert verdict.energy_monotone and verdict.gronwall_ok
+
+
+def _recording(monkeypatch, module, calls):
+    real = module.project_cone
+
+    def record(space, u, sign=1, *args, **kwargs):
+        calls.append((u.tobytes(), sign))
+        return real(space, u, sign, *args, **kwargs)
+
+    monkeypatch.setattr(module, "project_cone", record)
+
+
+def test_flow_projects_only_where_the_bounds_straddle(quartic_63, monkeypatch):
+    space = quartic_63.space
+    mu0 = 0.3
+    labelled, measured = [], []
+    _recording(monkeypatch, cones, labelled)
+    _recording(monkeypatch, flow, measured)
+    traj = nf.integrate_flow(quartic_63, 3.0 * space.eigenpairs(2)[1][1],
+                             nf.FlowConfig(mu0=mu0))
+    margin = cones.SCREEN_ROUNDING * np.finfo(float).eps * space.condition
+    straddling = []
+    for s in traj.states:
+        for sign in (1, -1):
+            neg = np.minimum(sign * s.u, 0.0)
+            lo = np.sqrt(space.lambda1 * (neg @ (space.M_diag * neg)))
+            hi = np.sqrt(neg @ (space.A @ neg))
+            if neg.any() and lo * (1.0 - margin) <= mu0 < hi * (1.0 + margin):
+                straddling.append((s.u.tobytes(), sign))
+    # the flow from 3*phi2 decays to 0, so it crosses the neighborhood edges
+    assert traj.states[0].label is nf.RegionLabel.SIGN_CHANGING
+    assert traj.final.label is nf.RegionLabel.OVERLAP
+    assert straddling and labelled == straddling and not measured
+
+    # a distance is projected when first read, and then kept
+    monkeypatch.undo()
+    for s in traj.states:
+        assert s.d_plus == nf.project_cone(space, s.u, 1).distance
+        assert s.d_minus == nf.project_cone(space, s.u, -1).distance
+    _recording(monkeypatch, flow, measured)
+    assert [s.summary() for s in traj.states] and not measured
+
+
+def test_flow_states_copy_and_pickle_with_their_distances(quartic_63):
+    u0 = 1.5 * quartic_63.space.eigenpairs(1)[0][1]
+    traj = nf.integrate_flow(quartic_63, u0, nf.FlowConfig(mu0=0.3, t_max=1.0))
+    for copied in (copy.deepcopy(traj.states), pickle.loads(pickle.dumps(traj.states))):
+        for a, b in zip(copied, traj.states, strict=True):
+            assert a.summary() == b.summary() and np.array_equal(a.u, b.u)
 
 
 def test_monitor_flags_tampered_energy(quartic_63):

@@ -154,6 +154,14 @@ def test_minimax_snapshot_callback(quartic_63, frame_63):
     assert len(seen) >= 1
 
 
+def test_minimax_needs_a_sweep():
+    # the extraction uses the labels and energies of the last sweep
+    with pytest.raises(ValueError, match="max_sweeps"):
+        nf.MinimaxConfig(max_sweeps=0)
+    with pytest.raises(nf.ConfigError, match="max_sweeps"):
+        nf.load_config({"linking": {"max_sweeps": 0}})
+
+
 def test_t_sphere_sampling_is_m_orthogonal(quartic_63, frame_63):
     mu0, frame = frame_63
     space = quartic_63.space
