@@ -8,9 +8,15 @@ majorant of the obstacle, one O(n) hull pass.  On a 2D grid it is solved by a
 primal-dual active-set iteration; in floating point its active sets can cycle
 (exact-arithmetic finite termination does not carry over), so an active set
 that repeats ends the iteration.  Every result carries an explicit KKT
-residual and is rejected when that residual is above tolerance.  A region
-label only asks whether a distance is at most mu0; two exact bounds on the
-distance answer that for most fields, and only the rest are projected.
+residual and is rejected when that residual is above tolerance.
+
+A distance mostly enters a comparison, and two exact bounds on it decide most
+comparisons without a projection.  A region label asks whether a distance is
+at most mu0.  The invariance checker compares image distances with its running
+maxima and with d/3 + C d^(q-1), and accepts a sample when its distance d is
+above 1e-12; the frame scan takes the least distance over its directions.  Only
+what the bounds cannot decide is projected, so every result is the one the
+projected distances give, to the bit.
 """
 
 from __future__ import annotations
@@ -187,24 +193,69 @@ def dist_to_cones(space: DiscreteSpace, u: np.ndarray) -> tuple[float, float]:
     return (project_cone(space, u, 1).distance, project_cone(space, u, -1).distance)
 
 
-def _within(space: DiscreteSpace, u: np.ndarray, sign: int, mu: float) -> bool:
-    """Whether dist(u, sign*P) <= mu.
+class _ConeDistance:
+    """dist(u, sign*P) bracketed by exact bounds; the upper one and the
+    projected distance are computed when first read.
 
     With n = min(sign*u, 0), sign*u - n lies in P, so dist <= |n|_A; and the
     nodewise truncation n is the M-nearest offset to P, so with the Poincare
-    inequality |w|_A >= sqrt(lambda1)*|w|_M, dist >= sqrt(lambda1)*|n|_M.  Only
-    a u whose two bounds, widened by SCREEN_ROUNDING for rounding, straddle mu
-    is projected.
+    inequality |w|_A >= sqrt(lambda1)*|w|_M, dist >= sqrt(lambda1)*|n|_M.  Each
+    bound is widened by SCREEN_ROUNDING for rounding, so it also brackets the
+    projected distance as computed, and a comparison that holds for the bound
+    holds for the projected distance.
     """
-    neg = np.minimum(sign * u, 0.0)
-    if not neg.any():
-        return True
-    margin = SCREEN_ROUNDING * np.finfo(float).eps * space.condition
-    if np.sqrt(space.lambda1 * (neg @ (space.M_diag * neg))) * (1.0 - margin) > mu:
-        return False
-    if np.sqrt(neg @ (space.A @ neg)) * (1.0 + margin) <= mu:
-        return True
-    return project_cone(space, u, sign).distance <= mu
+
+    __slots__ = ("space", "u", "sign", "neg", "margin", "lower", "_upper", "_exact")
+
+    def __init__(self, space: DiscreteSpace, u: np.ndarray, sign: int):
+        self.space, self.u, self.sign = space, u, sign
+        self.neg = neg = np.minimum(sign * u, 0.0)
+        if not neg.any():
+            # u lies in sign*P, and project_cone returns distance 0.0 for it
+            self.lower = self._upper = self._exact = 0.0
+            return
+        self.margin = SCREEN_ROUNDING * np.finfo(float).eps * space.condition
+        self.lower = float(np.sqrt(space.lambda1 * (neg @ (space.M_diag * neg)))
+                           * (1.0 - self.margin))
+        self._upper = self._exact = None
+
+    @property
+    def upper(self) -> float:
+        if self._upper is None:
+            neg = self.neg
+            self._upper = float(np.sqrt(neg @ (self.space.A @ neg)) * (1.0 + self.margin))
+        return self._upper
+
+    @property
+    def exact(self) -> float:
+        if self._exact is None:
+            self._exact = project_cone(self.space, self.u, self.sign).distance
+        return self._exact
+
+    def within(self, mu: float) -> bool:
+        """Whether dist <= mu (mu > 0), projecting only when the bounds
+        straddle mu."""
+        if self.lower > mu:
+            return False
+        return self.upper <= mu or self.exact <= mu
+
+
+def min_dist_to_cones(space: DiscreteSpace, fields: list[np.ndarray]) -> float:
+    """min over the fields of dist(u, P) and dist(u, -P), by branch and bound:
+    in order of lower bound, a field is projected only while its lower bound
+    is below the least distance projected so far."""
+    best = np.inf
+    dists = [_ConeDistance(space, u, sign) for u in fields for sign in (1, -1)]
+    for dist in sorted(dists, key=lambda d: d.lower):
+        if dist.lower >= best:
+            break
+        best = min(best, dist.exact)
+    return best
+
+
+def _within(space: DiscreteSpace, u: np.ndarray, sign: int, mu: float) -> bool:
+    """Whether dist(u, sign*P) <= mu, decided by the bounds where they can."""
+    return _ConeDistance(space, u, sign).within(mu)
 
 
 def region_of(space: DiscreteSpace, u: np.ndarray, mu0: float) -> RegionLabel:
@@ -252,23 +303,26 @@ class InvarianceReport:
 
 def _selection_images(prob, u: np.ndarray, rng: np.random.Generator | None,
                       n_corners: int = 2) -> list[np.ndarray]:
-    """Riesz images lam*A^-1*M*w for extreme box selections w at u."""
+    """Riesz images lam*A^-1*M*w for extreme box selections w at u; one image
+    where the box is a point, since a repeated image decides no comparison."""
     from .energy import subdifferential_box  # local import to avoid a cycle
 
     box = subdifferential_box(prob, u)
     space = prob.space
-    picks = [box.lo, box.hi]
-    width = box.hi - box.lo
-    if rng is not None and np.any(width > 0):
-        for _ in range(n_corners):
-            mask = rng.integers(0, 2, size=space.dim).astype(bool)
-            picks.append(np.where(mask, box.hi, box.lo))
+    picks = [box.lo]
+    if np.any(box.hi - box.lo > 0):
+        picks.append(box.hi)
+        if rng is not None:
+            for _ in range(n_corners):
+                mask = rng.integers(0, 2, size=space.dim).astype(bool)
+                picks.append(np.where(mask, box.hi, box.lo))
     return [prob.lam * space.solve(space.M_diag * w) for w in picks]
 
 
 def _boundary_samples(prob, sign: int, distances: np.ndarray, per_distance: int,
-                      rng: np.random.Generator) -> list[tuple[np.ndarray, float]]:
-    """Fields at prescribed cone distances: u = p + d * unit, p in sign*P.
+                      rng: np.random.Generator) -> list[tuple[np.ndarray, _ConeDistance]]:
+    """Fields at prescribed cone distances: u = p + d * unit, p in sign*P, each
+    with its distance to sign*P, which is positive.
 
     Perturbation directions alternate between rough white-noise fields and
     smooth low-eigenmode combinations; the smooth ones carry O(1) amplitude at
@@ -298,11 +352,24 @@ def _boundary_samples(prob, sign: int, distances: np.ndarray, per_distance: int,
                 e = rng.normal(size=space.dim)
             e /= max(space.h1_norm(e), 1e-12)
             u = sign * p + d * e
-            d_actual = project_cone(space, u, sign).distance
-            if d_actual > 1e-12:
-                out.append((u, d_actual))
+            dist = _ConeDistance(space, u, sign)
+            if not dist.within(1e-12):
+                out.append((u, dist))
                 accepted += 1
     return out
+
+
+# Each checker comparison (raise C, raise the worst ratio, break the
+# inequality) holds only for a large enough image distance, and is monotone in
+# the sample's distance d (q > 2, C >= 0).  So the image's upper bound and the
+# bound on d that favours the comparison stand in for them: an image is
+# projected only when its bounds let the comparison hold, and its sample only
+# when the outcome needs d.
+
+
+def _excess(d_img: float, d: float, q: float) -> float:
+    """The least C with d_img <= d/3 + C d^(q-1); it falls as d grows."""
+    return max(0.0, d_img - d / 3.0) / d ** (q - 1.0)
 
 
 def _fit_constant(prob, sign: int, per_distance: int, rng: np.random.Generator) -> float:
@@ -313,8 +380,9 @@ def _fit_constant(prob, sign: int, per_distance: int, rng: np.random.Generator) 
     ladder = np.linspace(0.1, 1.0, 8)
     for u, d in _boundary_samples(prob, sign, ladder, per_distance, rng):
         for img in _selection_images(prob, u, rng):
-            d_img = project_cone(space, img, sign).distance
-            c_fit = max(c_fit, max(0.0, d_img - d / 3.0) / d ** (q - 1.0))
+            d_img = _ConeDistance(space, img, sign)
+            if _excess(d_img.upper, d.lower, q) > c_fit:
+                c_fit = max(c_fit, _excess(d_img.exact, d.exact, q))
     return c_fit
 
 
@@ -334,16 +402,20 @@ def check_schauder(prob, mu0: float, sample_count: int = 100,
     for sign in (1, -1):
         # the fitted C, with 1.2x headroom for fresh samples
         c_fit = _fit_constant(prob, sign, max(3, sample_count // 20), rng) * 1.2
+
+        def bound(d: float) -> float:
+            return d / 3.0 + c_fit * d ** (q - 1.0) + 1e-9
+
         worst = 0.0
         witness = 0.0
         ineq_ok = True
         fresh = _boundary_samples(prob, sign, np.asarray([mu0]), sample_count, rng)
         for u, d in fresh:
             for img in _selection_images(prob, u, rng):
-                d_img = project_cone(space, img, sign).distance
-                if d_img / mu0 > worst:
-                    worst, witness = d_img / mu0, d
-                if d_img > d / 3.0 + c_fit * d ** (q - 1.0) + 1e-9:
+                d_img = _ConeDistance(space, img, sign)
+                if d_img.upper / mu0 > worst and d_img.exact / mu0 > worst:
+                    worst, witness = d_img.exact / mu0, d.exact
+                if ineq_ok and d_img.upper > bound(d.lower) and d_img.exact > bound(d.exact):
                     ineq_ok = False
         reports.append(InvarianceReport(
             sign=sign, mu0=mu0, worst_ratio=worst, fitted_c=c_fit, q=q,

@@ -207,6 +207,10 @@ def load_config(source: str | dict) -> RunConfig:
     snapshots = linking.pop("snapshots", False)
     tolerances = _typed(raw["tolerances"],
                         {k: types[k] for k in _DEFAULTS["tolerances"]}, "tolerances")
+    if tolerances["schauder_samples"] < 1:
+        # with no sample the Schauder check would pass vacuously
+        raise ConfigError("tolerances.schauder_samples must be at least 1, "
+                          f"got {tolerances['schauder_samples']}")
     flow = _typed(raw["flow"], schema(FlowConfig), "flow")
     try:
         flow = FlowConfig(**flow)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._serial import dumps
 from .cones import ConeNeighborhood, project_cone
@@ -209,6 +208,10 @@ def slope_on_set(prob: EnergyProblem, u: np.ndarray, region: SetSpec,
     if not parts:
         res = slope(prob, u)
         return SetSlopeResult(res.value, 0.0, res.selection, True, res.iterations)
+
+    # imported here: only this solver uses it, and importing it at module
+    # level would add about a third to the import time of the package
+    from scipy.optimize import minimize
 
     box = subdifferential_box(prob, u)
     n = space.dim

@@ -22,7 +22,7 @@ from scipy.sparse import diags as sp_diags
 from scipy.sparse.linalg import splu
 
 from ._serial import dumps
-from .cones import RegionLabel, dist_to_cones, region_of
+from .cones import RegionLabel, min_dist_to_cones, region_of
 from .energy import EnergyProblem, energy, slope
 from .flow import INTERNAL, FlowConfig, Termination, _make_state, integrate_flow
 from .mesh import DiscreteSpace
@@ -140,7 +140,7 @@ def build_frame(prob: EnergyProblem, mu0: float, scan: ScanConfig,
 
     dirs = _v_directions(space, phi1, scan.n_directions, rng)
     # cone distances are positively homogeneous: evaluate once at unit scale
-    unit_dist = min(min(dist_to_cones(space, d)) for d in dirs)
+    unit_dist = min_dist_to_cones(space, dirs)
     delta_profile = {}
     feasible = []
     for delta in scan.delta_grid:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -112,6 +113,38 @@ def test_solve_on_a_2d_grid(tmp_path):
     report = json.loads((out / "minimax_report.json").read_text())
     assert report["converged"] is True and report["label"] == "sign_changing"
     assert report["candidate_slope"] <= 1e-6
+
+
+def test_2d_solve_projection_count(tmp_path, monkeypatch):
+    # the invariance checker and the frame scan decide their comparisons by
+    # distance bounds.  Projecting every sample, every Riesz image (two per
+    # sample at smooth points) and every scan direction made this solve take
+    # about 1,480 projections, about 1,350 of them in the mu0 fit and the
+    # Schauder check
+    calls = []
+    for name in ("cones", "flow", "energy"):
+        module = importlib.import_module(f"nodalflow.{name}")
+        def counting(*args, _real=module.project_cone, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "project_cone", counting)
+    checker = []
+
+    def counted(stage):
+        def wrapped(*args, **kwargs):
+            before = len(calls)
+            out = stage(*args, **kwargs)
+            checker.append(len(calls) - before)
+            return out
+        return wrapped
+
+    for stage in ("fit_mu0", "check_schauder"):
+        monkeypatch.setattr(f"nodalflow.cli.{stage}", counted(getattr(nf, stage)))
+    path, _ = small_config(tmp_path, grid={"dimension": 2, "bounds": [[0.0, 2.0], [0.0, 1.0]],
+                                           "n": [15, 7]}, seed=1)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert len(checker) == 2 and sum(checker) <= 50
+    assert len(calls) <= 200
 
 
 def test_solve_artifacts_and_determinism(tmp_path):
@@ -458,6 +491,19 @@ def test_bad_linking_key_exits_2_before_any_stage(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "bogus" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_schauder_samples_below_one_exits_2(tmp_path, capsys, samples):
+    # with no sample the Schauder check would pass vacuously
+    path, _ = small_config(tmp_path, grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 31},
+                           tolerances={"schauder_samples": samples})
+    out = tmp_path / "never"
+    for command in ("solve", "verify"):
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "schauder_samples" in err
 
 
 @pytest.mark.parametrize("k", ["0", "99"])

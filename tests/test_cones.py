@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import nodalflow as nf
 from nodalflow import cones
 from nodalflow.cones import _active_set
+from nodalflow.config import parse_potential
 from oracles import enum_project_cone
 
 # The field of a Schauder-stage projection (1D n=63, two_slope:1,2, lambda 1,
@@ -273,3 +274,120 @@ def test_cone_distance_bounds_hold(geometry, seed, kind, sign):
     d = nf.project_cone(space, u, sign).distance
     margin = cones.SCREEN_ROUNDING * np.finfo(float).eps * space.condition
     assert lo * (1.0 - margin) <= d <= hi * (1.0 + margin)
+
+
+# -- the bound screen of the invariance checker and the frame scan -------------
+
+CHECKER_SPACES = {
+    "1d": nf.build_space(nf.GridSpec.interval(0.0, 1.0, 31)),
+    "2d": nf.build_space(nf.GridSpec.rectangle([(0.0, 1.4), (0.0, 1.0)], (7, 5))),
+}
+# power:3 at lambda 100 is the one problem here whose fit gives C > 0, so
+# that mu0 comes from the fit; the others take fit_mu0's 0.45 fallback
+CHECKER_PROBLEMS = [("power:4", 1.0), ("power:4", 16.0), ("two_slope:1,2", 1.0),
+                    ("power:3", 100.0)]
+
+
+def _checker_run(prob, seed, mu0_probe):
+    """fit_mu0, check_schauder at the fitted and at a given mu0, and
+    build_frame, from fixed streams."""
+    mu0 = nf.fit_mu0(prob, np.random.default_rng(seed), sample_count=24)
+    reports = [rep.to_json() for m in (mu0, mu0_probe)
+               for rep in nf.check_schauder(prob, m, 12, np.random.default_rng(seed + 1))]
+    try:
+        frame = nf.build_frame(prob, mu0, nf.ScanConfig(), np.random.default_rng(seed + 2))
+    except nf.NoLinkingWindow as exc:
+        frame = str(exc)
+    return mu0, reports, frame
+
+
+def _projecting_every_comparison(monkeypatch):
+    """Make both distance bounds the projected distance itself."""
+    init = cones._ConeDistance.__init__
+
+    def projecting_init(self, *args):
+        init(self, *args)
+        self.lower = self._upper = self.exact
+
+    monkeypatch.setattr(cones._ConeDistance, "__init__", projecting_init)
+
+
+def _same_frame(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("phi1", "phi2", "lam1", "lam2", "radius", "delta_t", "mu0"))
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(CHECKER_SPACES)), st.sampled_from(CHECKER_PROBLEMS),
+       st.integers(0, 2**32 - 4), st.sampled_from([0.2, 0.5, 0.9]))
+def test_screened_checker_equals_the_projecting_one(geometry, problem, seed, mu0_probe):
+    # at mu0 0.5 and 0.9, power:3 at lambda 100 also fails the ratio or the
+    # inequality for some streams, so both outcomes of each test are compared
+    spec, lam = problem
+    prob = nf.EnergyProblem(CHECKER_SPACES[geometry], parse_potential(spec), lam)
+    mu0, reports, frame = _checker_run(prob, seed, mu0_probe)
+    with pytest.MonkeyPatch.context() as mp:
+        _projecting_every_comparison(mp)
+        mu0_all, reports_all, frame_all = _checker_run(prob, seed, mu0_probe)
+    assert mu0 == mu0_all and reports == reports_all
+    assert _same_frame(frame, frame_all)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, -1]), st.floats(0.1, 0.9))
+def test_checker_decides_each_comparison_as_a_projection_would(seed, sign, mu0):
+    # samples and images drawn so that many comparisons fall between the two
+    # distance bounds of an image, where only the projected distance decides
+    space = CHECKER_SPACES["1d"]
+    prob = nf.EnergyProblem(space, parse_potential("power:3"), 1.0)
+    rng = np.random.default_rng(seed)
+
+    def field(dist):
+        """A field at distance dist from sign*P."""
+        while True:
+            u = _screen_field(space, int(rng.integers(2**32)), ("random", "mode", "mixed")[
+                int(rng.integers(3))])
+            d = nf.project_cone(space, u, sign).distance
+            if d > 0.0:
+                return u * (dist / d)
+
+    samples, images = ([], []), {}
+    for i in range(12):
+        u = field(rng.uniform(0.1, 1.0))
+        d = cones._ConeDistance(space, u, sign)
+        samples[i % 2].append((u, d))
+        images[u.tobytes()] = [field(rng.uniform(0.2, 3.0) * d.exact / 3.0) for _ in range(4)]
+
+    def run():
+        # the fit's ladder of distances draws one set, the fresh samples the other
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cones, "_boundary_samples",
+                       lambda prob, sign, distances, *args: samples[len(distances) == 1])
+            mp.setattr(cones, "_selection_images", lambda prob, u, rng: images[u.tobytes()])
+            return (cones._fit_constant(prob, sign, 1, rng),
+                    [rep.to_json() for rep in nf.check_schauder(prob, mu0, 1, rng)])
+
+    screened = run()
+    with pytest.MonkeyPatch.context() as mp:
+        _projecting_every_comparison(mp)
+        assert run() == screened
+
+
+def test_some_checker_problem_fits_a_positive_constant():
+    # the screen is also checked where the fitted C and mu0 are not trivial
+    prob = nf.EnergyProblem(CHECKER_SPACES["1d"], parse_potential("power:3"), 100.0)
+    mu0 = nf.fit_mu0(prob, np.random.default_rng(0), sample_count=24)
+    assert 0 < mu0 < 0.45
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(SCREEN_SPACES)), st.integers(0, 2**32 - 1),
+       st.integers(1, 12))
+def test_min_dist_to_cones_equals_the_projected_minimum(geometry, seed, count):
+    space = SCREEN_SPACES[geometry]
+    fields = [_screen_field(space, seed + i, ("random", "mode", "mixed")[i % 3])
+              for i in range(count)]
+    assert cones.min_dist_to_cones(space, fields) == min(
+        min(nf.dist_to_cones(space, u)) for u in fields)

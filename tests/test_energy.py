@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -221,3 +225,12 @@ def test_slope_result_serializes(quartic_63, rng):
     res = nf.slope(quartic_63, rng.normal(size=63))
     text = res.to_json()
     assert '"value"' in text and '"iterations"' in text
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only slope_on_set (the verify command) needs scipy.optimize
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nf.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, nodalflow; print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
