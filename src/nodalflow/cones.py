@@ -37,6 +37,8 @@ from .mesh import DiscreteSpace
 # distance would not.
 SCREEN_ROUNDING = 4.0
 
+_EPS = float(np.finfo(float).eps)
+
 
 class ProjectionError(RuntimeError):
     """A projection failed its KKT certificate, on either geometry (the 1D
@@ -214,7 +216,7 @@ class _ConeDistance:
             # u lies in sign*P, and project_cone returns distance 0.0 for it
             self.lower = self._upper = self._exact = 0.0
             return
-        self.margin = SCREEN_ROUNDING * np.finfo(float).eps * space.condition
+        self.margin = SCREEN_ROUNDING * _EPS * space.condition
         self.lower = float(np.sqrt(space.lambda1 * (neg @ (space.M_diag * neg)))
                            * (1.0 - self.margin))
         self._upper = self._exact = None

@@ -41,6 +41,18 @@ class EnergyProblem:
         """The potential's coefficient at the nodes, evaluated once per problem."""
         return self.potential.coefficient_values(self.space.grid.coords())
 
+    @cached_property
+    def step_bound(self) -> float:
+        """Upper bound on the Lipschitz constant of the box-QP gradient.
+
+        F(w) = r'A^-1 r with r affine in w; hess = 2 lam^2 M A^-1 M and
+        A >= lambda_1 * min(M) in the generalized Rayleigh sense.
+        """
+        space = self.space
+        m_max = float(np.max(space.M_diag))
+        m_min = float(np.min(space.M_diag))
+        return 2.0 * self.lam**2 * m_max**2 / (space.lambda1 * m_min)
+
 
 @dataclass
 class SubdifferentialBox:
@@ -59,20 +71,27 @@ class SubdifferentialBox:
             self.weights * np.minimum(self.lo * d, self.hi * d)))
 
 
-def energy(prob: EnergyProblem, u: np.ndarray) -> float:
+# energy, subdifferential_box and slope take A u as ``au`` when the caller has
+# formed it; the same array gives the same bits as forming it here.
+
+
+def energy(prob: EnergyProblem, u: np.ndarray, au: np.ndarray | None = None) -> float:
     u = prob.space.check_field(u)
-    quad = 0.5 * float(u @ (prob.space.A @ u))
+    if au is None:
+        au = prob.space.A @ u
+    quad = 0.5 * float(u @ au)
     c = prob.coefficient
     pot = float(np.sum(c * prob.space.M_diag * prob.potential.value(u)))
     return quad - prob.lam * pot
 
 
-def subdifferential_box(prob: EnergyProblem, u: np.ndarray) -> SubdifferentialBox:
+def subdifferential_box(prob: EnergyProblem, u: np.ndarray,
+                        au: np.ndarray | None = None) -> SubdifferentialBox:
     u = prob.space.check_field(u)
     lo, hi = prob.potential.interval_arrays(u)
     c = prob.coefficient
     return SubdifferentialBox(
-        base=prob.space.A @ u, lo=c * lo, hi=c * hi,
+        base=prob.space.A @ u if au is None else au, lo=c * lo, hi=c * hi,
         lam=prob.lam, weights=prob.space.M_diag,
     )
 
@@ -94,18 +113,6 @@ class SlopeResult:
 
     def to_json(self) -> str:
         return dumps(self.to_dict())
-
-
-def _pg_step_bound(prob: EnergyProblem) -> float:
-    """Upper bound on the Lipschitz constant of the box-QP gradient.
-
-    F(w) = r'A^-1 r with r affine in w; hess = 2 lam^2 M A^-1 M and
-    A >= lambda_1 * min(M) in the generalized Rayleigh sense.
-    """
-    space = prob.space
-    m_max = float(np.max(space.M_diag))
-    m_min = float(np.min(space.M_diag))
-    return 2.0 * prob.lam**2 * m_max**2 / (space.lambda1 * m_min)
 
 
 def _box_dual_qp(space: DiscreteSpace, box: SubdifferentialBox, shift: np.ndarray,
@@ -141,7 +148,8 @@ def _box_dual_qp(space: DiscreteSpace, box: SubdifferentialBox, shift: np.ndarra
 
 
 def slope(prob: EnergyProblem, u: np.ndarray, w0: np.ndarray | None = None,
-          tol: float = 1e-10, max_iter: int = 100000) -> SlopeResult:
+          tol: float = 1e-10, max_iter: int = 100000,
+          au: np.ndarray | None = None) -> SlopeResult:
     """m(u) = min over box selections w of the dual norm of Au - lam*M*w.
 
     Degenerate (pointwise) box coordinates are pinned; the free block runs
@@ -149,9 +157,9 @@ def slope(prob: EnergyProblem, u: np.ndarray, w0: np.ndarray | None = None,
     gradient has norm <= tol.
     """
     space = prob.space
-    box = subdifferential_box(prob, u)
+    box = subdifferential_box(prob, u, au)
     w, iterations = _box_dual_qp(space, box, np.zeros(space.dim), w0, tol,
-                                 max_iter, _pg_step_bound(prob))
+                                 max_iter, prob.step_bound)
     g = box.gradient_vector(w)
     v = space.solve(g)
     value = float(np.sqrt(max(g @ v, 0.0)))
@@ -285,11 +293,10 @@ def stationarity_residual(prob: EnergyProblem, u: np.ndarray, region: SetSpec,
 
     t = np.zeros(k)
     w = 0.5 * (box.lo + box.hi)
-    step_bound = _pg_step_bound(prob)
     value = np.inf
     for _ in range(rounds):
         shift = sum(t[i] * a_normals[i] for i in range(k)) if k else np.zeros(space.dim)
-        w, _ = _box_dual_qp(space, box, shift, w, 1e-12, 100000, step_bound)
+        w, _ = _box_dual_qp(space, box, shift, w, 1e-12, 100000, prob.step_bound)
         r = box.gradient_vector(w) + shift
         for i in range(k):
             # exact 1D minimization in t_i holding everything else fixed

@@ -6,6 +6,12 @@ cutoff around detected critical points.  Integration is explicit Euler with an
 Armijo-style acceptance enforcing a guaranteed energy decrease per step, and a
 step cap dt <= 1/(1+||u||) inside cone neighborhoods so each accepted step is a
 convex combination of u and the invariance displacement u - v(u)/(1+||u||).
+
+The product A u is formed once per field: for the initial state in
+``_make_state``, and for each Armijo trial in ``integrate_flow``.  The trial's
+energy, and on acceptance its subdifferential box, slope and H^1 norm, all
+read that one array; only the cone-distance bounds of its label form their
+own products.
 """
 
 from __future__ import annotations
@@ -152,25 +158,34 @@ def cutoff_psi(config: FlowConfig, space: DiscreteSpace, u: np.ndarray) -> float
 
 
 def pseudo_gradient(prob: EnergyProblem, u: np.ndarray,
-                    slope_result: SlopeResult | None = None) -> np.ndarray:
+                    slope_result: SlopeResult | None = None,
+                    norm_u: float | None = None) -> np.ndarray:
     """Descent field (1+||u||) * min(m,1) * v*/m; zero at critical points.
 
     Satisfies ||v|| <= (1+||u||) and <g*, v> = (1+||u||) m^2 / max(m, 1).
+    ``slope_result`` and ``norm_u``, when given, are slope(prob, u) and ||u||.
     """
     res = slope_result if slope_result is not None else slope(prob, u)
     if res.value <= 1e-300:
         return prob.space.zero_field()
-    norm_u = prob.space.h1_norm(u)
+    if norm_u is None:
+        norm_u = prob.space.h1_norm(u)
     return (1.0 + norm_u) * min(res.value, 1.0) / res.value * res.riesz
 
 
 def _make_state(prob: EnergyProblem, u: np.ndarray, t: float, dt_used: float,
-                mu0: float, warm: dict, j: float | None = None) -> FlowState:
-    """The flow state at u; ``j``, when given, is energy(prob, u)."""
-    res = slope(prob, u, w0=warm.get("w"))
+                mu0: float, warm: dict, j: float | None = None,
+                au: np.ndarray | None = None) -> FlowState:
+    """The flow state at u; ``j`` and ``au``, when given, are energy(prob, u)
+    and A u.  ``warm`` receives the state's slope result and H^1 norm."""
+    if au is None:
+        au = prob.space.A @ u
+    res = slope(prob, u, w0=warm.get("w"), au=au)
     warm["w"] = res.selection
     warm["slope"] = res
-    return FlowState(t, u.copy(), energy(prob, u) if j is None else j, res.value,
+    # the bits of space.h1_norm(u), from the same A u
+    warm["norm"] = float(np.sqrt(max(float(u @ au), 0.0)))
+    return FlowState(t, u.copy(), energy(prob, u, au) if j is None else j, res.value,
                      None, None, region_of(prob.space, u, mu0), dt_used, prob.space)
 
 
@@ -206,7 +221,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
     termination = None
     while True:
         s = states[-1]
-        norm_u = space.h1_norm(s.u)
+        norm_u = warm["norm"]   # warm describes states[-1]
         if (1.0 + norm_u) * s.m <= config.tol_m:
             termination = Termination.SLOPE_BELOW_TOL
             break
@@ -223,7 +238,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
         if cut <= 1e-14:
             termination = Termination.FIELD_VANISHED
             break
-        v = pseudo_gradient(prob, s.u, warm.get("slope"))
+        v = pseudo_gradient(prob, s.u, warm["slope"], norm_u)
         big_v = cut * v
 
         # ||V|| <= (1+||u||), so the displacement cap bounds each step's arc
@@ -238,7 +253,8 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
         accepted = False
         while dt >= config.dt_min:
             trial = s.u - dt * big_v
-            j_trial = energy(prob, trial)
+            a_trial = space.A @ trial
+            j_trial = energy(prob, trial, a_trial)
             required = ARMIJO_C1 * dt * cut * s.m**2 / (1.0 + norm_u)
             slack = 5e-14 * (1.0 + abs(s.j))
             if j_trial <= s.j and (s.j - j_trial) >= required - slack:
@@ -249,7 +265,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
             termination = Termination.STEP_FAILURE
             break
 
-        new = _make_state(prob, trial, s.t + dt, dt, config.mu0, warm, j_trial)
+        new = _make_state(prob, trial, s.t + dt, dt, config.mu0, warm, j_trial, a_trial)
         states.append(new)
         if new.label != s.label:
             log.append({"step": len(states) - 1, "event": "region_change",

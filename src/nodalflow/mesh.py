@@ -212,7 +212,13 @@ class DiscreteSpace:
             vals, vecs = scipy.linalg.eigh(A, M)
         else:
             M = sp.diags(self.M_diag).tocsc()
-            vals, vecs = spla.eigsh(self.A, k=k, M=M, sigma=0.0, which="LM")
+            # ARPACK starts from a random vector unless given one; a fixed
+            # start makes the result a function of the grid.  It must have no
+            # symmetry: A and M commute with the grid's reflections, so the
+            # Krylov space of an even start holds no odd mode (phi_2 is odd).
+            # Being positive, it is not M-orthogonal to the positive phi_1.
+            v0 = np.random.default_rng(0).random(self.dim)
+            vals, vecs = spla.eigsh(self.A, k=k, M=M, sigma=0.0, which="LM", v0=v0)
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
         for i in range(vecs.shape[1]):

@@ -77,8 +77,12 @@ class PiecewisePotential:
 
     def _eval_pieces(self, funcs, s: np.ndarray, side: str = "left") -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        idx = self._piece_index(s, side)
         out = np.empty_like(s)
+        if not self.breakpoints:
+            # one piece covers every s: the mask loop would select all of s
+            out[...] = funcs[0](s)
+            return out
+        idx = self._piece_index(s, side)
         for i, f in enumerate(funcs):
             mask = idx == i
             if np.any(mask):

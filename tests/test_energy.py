@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nodalflow as nf
 from oracles import box_grid_slope, enum_dist_batch, saddle_set_slope
@@ -234,3 +236,30 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", "import sys, nodalflow; print('scipy.optimize' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+KINKED_PROBLEMS = {
+    dim: nf.EnergyProblem(nf.build_space(spec),
+                          nf.abs_potential().plus(nf.power_potential(4)), 1.3)
+    for dim, spec in ((1, nf.GridSpec.interval(0.0, 1.0, 15)),
+                      (2, nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (5, 4))))
+}
+
+
+@settings(max_examples=30)
+@given(dim=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 3.0), zeros=st.floats(0.0, 0.5))
+def test_precomputed_au_gives_the_same_bits(dim, seed, scale, zeros):
+    prob = KINKED_PROBLEMS[dim]
+    rng = np.random.default_rng(seed)
+    u = scale * rng.normal(size=prob.space.dim)
+    u[rng.random(prob.space.dim) < zeros] = 0.0   # kinks of the abs term
+    au = prob.space.A @ u
+    assert nf.energy(prob, u, au) == nf.energy(prob, u)
+    given_box, box = nf.subdifferential_box(prob, u, au), nf.subdifferential_box(prob, u)
+    for name in ("base", "lo", "hi"):
+        assert getattr(given_box, name).tobytes() == getattr(box, name).tobytes()
+    given_res, res = nf.slope(prob, u, au=au), nf.slope(prob, u)
+    assert given_res.value == res.value and given_res.iterations == res.iterations
+    for name in ("selection", "certificate", "riesz"):
+        assert getattr(given_res, name).tobytes() == getattr(res, name).tobytes()

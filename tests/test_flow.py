@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -448,3 +449,40 @@ def test_deformation_shadow(quartic_63):
                      and landed.j <= r - eps)
         assert in_low or in_cone or left_band, (
             landed.j, r, landed.d_plus, landed.d_minus, traj.termination.value)
+
+
+class CountingA:
+    """A stiffness matrix that counts its products with vectors, except those
+    made in nodalflow.cones (the upper distance bounds and projections)."""
+
+    def __init__(self, A):
+        self.A = A
+        self.products = 0
+
+    def __matmul__(self, x):
+        if sys._getframe(1).f_globals.get("__name__") != "nodalflow.cones":
+            self.products += 1
+        return self.A @ x
+
+    def __abs__(self):
+        return abs(self.A)
+
+    def __getattr__(self, name):
+        return getattr(self.A, name)
+
+
+def test_flow_forms_one_product_with_a_per_trial(monkeypatch):
+    space = nf.build_space(nf.GridSpec.interval(0.0, 1.0, 31))
+    prob = nf.EnergyProblem(space, nf.power_potential(4), 1.0)
+    u0 = 3.0 * space.eigenpairs(2)[1][1]
+    counting = CountingA(space.A)
+    monkeypatch.setattr(space, "A", counting)
+    trials, norms = [], []
+    real_energy = flow.energy
+    # the initial state evaluates the energy once, and each Armijo trial once
+    monkeypatch.setattr(flow, "energy", lambda *a, **k: trials.append(1) or real_energy(*a, **k))
+    monkeypatch.setattr(space, "h1_norm", lambda u: norms.append(1) or 0.0)
+    traj = nf.integrate_flow(prob, u0, nf.FlowConfig(mu0=0.3, max_steps=80))
+    assert len(traj.states) > 40 and len(trials) >= len(traj.states)
+    assert len(traj.states) <= counting.products <= len(trials)
+    assert not norms

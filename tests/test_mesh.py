@@ -175,3 +175,22 @@ def test_field_csv_roundtrip(space_63, rng):
     back = nf.field_from_csv(space_63, text)
     assert np.array_equal(u, back)
     assert text.startswith("# config_hash=deadbeef")
+
+
+def test_sparse_eigen_path_is_deterministic():
+    # past 2,000 nodes the eigenpairs come from ARPACK, which starts from a
+    # random vector unless it is given one
+    spec = nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (46, 44))
+    assert spec.size > 2000
+    first, second = (nf.build_space(spec).eigenpairs(3) for _ in range(2))
+    for (lam_a, phi_a), (lam_b, phi_b) in zip(first, second, strict=True):
+        assert lam_a == lam_b and np.array_equal(phi_a, phi_b)
+    # and they are the first three: a start vector with the grid's symmetry
+    # would keep the Krylov space away from the odd phi_2, the (2,1) mode
+    space = nf.build_space(spec)
+    dense = scipy.linalg.eigh(space.A.toarray(), np.diag(space.M_diag),
+                              eigvals_only=True, subset_by_index=[0, 2])
+    assert np.allclose([lam for lam, _ in first], dense, rtol=1e-10, atol=0.0)
+    assert np.all(first[0][1] > 0)
+    phi2 = first[1][1].reshape(spec.n)
+    assert np.allclose(phi2[::-1, :], -phi2, atol=1e-8 * np.abs(phi2).max())

@@ -161,3 +161,45 @@ def test_coefficient_field_scales_intervals():
     iv = nf.clarke_interval(p, np.array([0.5]), 0.0)
     assert (iv.lo, iv.hi) == (-1.5, 1.5)
     assert nf.eval_j(p, np.array([0.5]), 2.0) == pytest.approx(3.0)
+
+
+def mask_loop(p, funcs, s, side="left"):
+    """The piecewise evaluation: each piece on the entries that fall in it."""
+    s = np.asarray(s, dtype=float)
+    idx = np.searchsorted(np.asarray(p.breakpoints), s, side=side)
+    out = np.empty_like(s)
+    for i, f in enumerate(funcs):
+        mask = idx == i
+        if np.any(mask):
+            out[mask] = f(s[mask])
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_one_piece_path_matches_the_mask_loop(monkeypatch):
+    p3, p4 = nf.power_potential(3), nf.power_potential(4)
+    one_piece = [p3, p4, p3.scaled(2.5), p4.scaled(0.3), p3.plus(p4), p4.plus(p4.scaled(2.0))]
+    inputs = [np.array([-2.5, -1.0, -0.0, 0.0, 1e-300, 0.7, 3.0, -1e-3]),
+              np.linspace(-4.0, 4.0, 41), np.zeros(5), np.asarray(-1.25),
+              np.asarray(0.0), np.empty(0)]
+    lookups = []
+    real = nf.PiecewisePotential._piece_index
+    monkeypatch.setattr(nf.PiecewisePotential, "_piece_index",
+                        lambda self, s, side="left": lookups.append(1) or real(self, s, side))
+    for p in one_piece:
+        assert p.breakpoints == ()
+        for s in inputs:
+            assert same_bits(p.value(s), mask_loop(p, p.values, s))
+            assert same_bits(p.derivative(s), mask_loop(p, p.derivs, s))
+            assert same_bits(p.derivative_right(s), mask_loop(p, p.derivs, s, "right"))
+            lo, hi = p.interval_arrays(s)
+            d = mask_loop(p, p.derivs, s)
+            assert same_bits(lo, d) and same_bits(hi, d)
+    # the direct path never looks up a piece; a kinked potential still does
+    assert not lookups
+    two = nf.two_slope_potential(1, 2)
+    s = np.array([-2.0, -1.0, 0.5, 1.0, 1.5])
+    assert same_bits(two.value(s), mask_loop(two, two.values, s)) and lookups
