@@ -112,7 +112,7 @@ def read_checkpoint(space, path: str) -> Checkpoint:
     does not fit the grid are config errors.
     """
     try:
-        checkpoint = load_checkpoint(path)
+        checkpoint = load_checkpoint(path, space)
         for s in checkpoint.states:
             space.check_field(s.u)
     except (OSError, ValueError, MeshError) as exc:
@@ -201,6 +201,10 @@ def cmd_solve(cfg: RunConfig, run: _Run) -> int:
         return EXIT_NOT_CONVERGED if isinstance(exc, NotConverged) else EXIT_INVARIANCE
 
     run.write_json("minimax_report.json", report.to_dict())
+    ext = report.extraction
+    run.log(f"stage minimax: extraction bisection_rounds={ext['rounds']} "
+            f"newton_attempts={ext['newton']} rejected_by_label={ext['off_label']} "
+            f"rejected_by_energy_window={ext['off_window']}")
     if report.candidate is not None:
         run.write_text("solution.csv",
                        field_to_csv(space, report.candidate,

@@ -28,8 +28,10 @@ from .energy import EnergyProblem, SlopeResult, energy, slope
 from .mesh import DiscreteSpace
 
 ARMIJO_C1 = 1e-4
+ENERGY_SLACK = 5e-14   # relative rounding slack of an energy comparison
 DISP_CAP = 0.5   # per-step displacement bound: dt <= DISP_CAP/(1+||u||)
 INTERNAL = {"internal": True}   # field metadata: set by the solver, not by a config
+_MEASURED = ("d_plus", "d_minus", "norm")   # FlowState values a space can measure
 
 
 class Termination(str, Enum):
@@ -73,9 +75,10 @@ class FlowConfig:
 class FlowState:
     """One point of a flow.
 
-    ``d_plus`` and ``d_minus`` are dist(u, P) and dist(u, -P).  A state given
-    a ``space`` and None for both projects each the first time it is read,
-    and keeps it; ``label`` never needs them.
+    ``d_plus`` and ``d_minus`` are dist(u, P) and dist(u, -P), ``norm`` is
+    the H^1 norm of u.  A state given a ``space`` measures each of them that
+    is None the first time it is read (a distance by projection), and keeps
+    it; ``label`` never needs them.  ``norm`` is not part of ``summary``.
     """
 
     t: float
@@ -86,24 +89,33 @@ class FlowState:
     d_minus: float | None
     label: RegionLabel
     dt_used: float
+    # a factory, not a default: a class attribute would hide an unmeasured
+    # norm from __getattr__
+    norm: float | None = field(default_factory=lambda: None)
     space: InitVar[DiscreteSpace | None] = None
 
     def __post_init__(self, space):
         if space is not None:
             self._space = space
-            del self.d_plus, self.d_minus
+            for name in _MEASURED:
+                if vars(self)[name] is None:
+                    delattr(self, name)
 
     def __getstate__(self):
-        # copies and pickles carry the distances, not the space, whose
+        # copies and pickles carry the measured values, not the space, whose
         # factorization can be neither copied nor pickled
-        return dict(vars(self), d_plus=self.d_plus, d_minus=self.d_minus, _space=None)
+        return dict(vars(self), **{name: getattr(self, name) for name in _MEASURED},
+                    _space=None)
 
     def __getattr__(self, name):
-        # reached only for a distance that is not measured yet
+        # reached only for a value that is not measured yet
         space = self.__dict__.get("_space")
-        if space is None or name not in ("d_plus", "d_minus"):
+        if space is None or name not in _MEASURED:
             raise AttributeError(name)
-        value = project_cone(space, self.u, 1 if name == "d_plus" else -1).distance
+        if name == "norm":
+            value = space.h1_norm(self.u)
+        else:
+            value = project_cone(space, self.u, 1 if name == "d_plus" else -1).distance
         setattr(self, name, value)
         return value
 
@@ -177,16 +189,17 @@ def _make_state(prob: EnergyProblem, u: np.ndarray, t: float, dt_used: float,
                 mu0: float, warm: dict, j: float | None = None,
                 au: np.ndarray | None = None) -> FlowState:
     """The flow state at u; ``j`` and ``au``, when given, are energy(prob, u)
-    and A u.  ``warm`` receives the state's slope result and H^1 norm."""
+    and A u.  ``warm`` receives the state's slope result."""
     if au is None:
         au = prob.space.A @ u
     res = slope(prob, u, w0=warm.get("w"), au=au)
     warm["w"] = res.selection
     warm["slope"] = res
     # the bits of space.h1_norm(u), from the same A u
-    warm["norm"] = float(np.sqrt(max(float(u @ au), 0.0)))
+    norm = float(np.sqrt(max(float(u @ au), 0.0)))
     return FlowState(t, u.copy(), energy(prob, u, au) if j is None else j, res.value,
-                     None, None, region_of(prob.space, u, mu0), dt_used, prob.space)
+                     None, None, region_of(prob.space, u, mu0), dt_used, norm,
+                     prob.space)
 
 
 def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
@@ -211,7 +224,8 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
         log: list[dict] = []
         # refresh warm caches at the resumed head
         head = states[-1]
-        _make_state(prob, head.u, head.t, head.dt_used, config.mu0, warm, head.j)
+        head.norm = _make_state(prob, head.u, head.t, head.dt_used, config.mu0,
+                                warm, head.j).norm
     else:
         u0 = space.check_field(u0)
         states = [_make_state(prob, u0, 0.0, 0.0, config.mu0, warm)]
@@ -221,7 +235,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
     termination = None
     while True:
         s = states[-1]
-        norm_u = warm["norm"]   # warm describes states[-1]
+        norm_u = s.norm
         if (1.0 + norm_u) * s.m <= config.tol_m:
             termination = Termination.SLOPE_BELOW_TOL
             break
@@ -238,7 +252,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
         if cut <= 1e-14:
             termination = Termination.FIELD_VANISHED
             break
-        v = pseudo_gradient(prob, s.u, warm["slope"], norm_u)
+        v = pseudo_gradient(prob, s.u, warm["slope"], norm_u)   # warm describes s
         big_v = cut * v
 
         # ||V|| <= (1+||u||), so the displacement cap bounds each step's arc
@@ -256,7 +270,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
             a_trial = space.A @ trial
             j_trial = energy(prob, trial, a_trial)
             required = ARMIJO_C1 * dt * cut * s.m**2 / (1.0 + norm_u)
-            slack = 5e-14 * (1.0 + abs(s.j))
+            slack = ENERGY_SLACK * (1.0 + abs(s.j))
             if j_trial <= s.j and (s.j - j_trial) >= required - slack:
                 accepted = True
                 break
@@ -341,9 +355,9 @@ def monitor_invariance(space: DiscreteSpace, traj: Trajectory, mu0: float,
             violations.append({"index": i, "kind": "energy_increase", "jump": b.j - a.j})
 
     gronwall_ok = True
-    norm0 = space.h1_norm(first.u)
+    norm0 = first.norm
     for i, s in enumerate(traj.states):
-        if space.h1_norm(s.u) > (norm0 + 1.0) * np.exp(2.0 * s.t) + 1e-9:
+        if s.norm > (norm0 + 1.0) * np.exp(2.0 * s.t) + 1e-9:
             gronwall_ok = False
             violations.append({"index": i, "kind": "gronwall", "t": s.t})
 
@@ -389,9 +403,10 @@ class Checkpoint:
         return iter((self.states, self.dt_next))
 
 
-def load_checkpoint(path: str) -> Checkpoint:
+def load_checkpoint(path: str, space: DiscreteSpace | None = None) -> Checkpoint:
     """The last commit in the checkpoint at ``path``.
 
+    With ``space``, each loaded state measures its H^1 norm when first read.
     Rows after the last commit line, and a last line with no newline, are the
     tail of an interrupted write and are ignored.  Raises ValueError when the
     file holds no commit or a complete line that is neither a state row nor a
@@ -411,7 +426,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 states.append(FlowState(
                     t=row["t"], u=np.asarray(row["u"]), j=row["j"], m=row["m"],
                     d_plus=row["d_plus"], d_minus=row["d_minus"],
-                    label=RegionLabel(row["label"]), dt_used=row["dt"]))
+                    label=RegionLabel(row["label"]), dt_used=row["dt"], space=space))
                 continue
             if (set(row) == {"dt_next", "step"} and states
                     and row["step"] == len(states) - 1):
@@ -431,13 +446,13 @@ def resume_flow(prob: EnergyProblem, config: FlowConfig, checkpoint: str | Check
                 checkpoint_path: str | None = None) -> Trajectory:
     """Continue a checkpointed flow from its last committed state.
 
-    ``checkpoint`` is a checkpoint file or what load_checkpoint returned for
-    one.  With ``config.checkpoint_every`` set, the resumed run writes the
-    source's committed bytes and then its own states to ``checkpoint_path``;
-    the source is only read.
+    ``checkpoint`` is a checkpoint file or what load_checkpoint(path,
+    prob.space) returned for one.  With ``config.checkpoint_every`` set, the
+    resumed run writes the source's committed bytes and then its own states to
+    ``checkpoint_path``; the source is only read.
     """
     if isinstance(checkpoint, str):
-        checkpoint = load_checkpoint(checkpoint)
+        checkpoint = load_checkpoint(checkpoint, prob.space)
     return integrate_flow(prob, checkpoint.states[-1].u, config,
                           checkpoint_path=checkpoint_path,
                           _resume=(checkpoint.states, checkpoint.dt_next, checkpoint.committed))

@@ -9,8 +9,11 @@ positive on T while T stays clear of both cone neighborhoods.
 The inf over deformations is realized by repeatedly flowing the embedded
 surface for a finite horizon and tracking the sup of J over sign-changing
 surface points; the critical candidate is extracted from the stalled maximizer
-by bisecting across the descent separatrix until a trajectory parks at slope
-tolerance in the sign-changing region.
+by bisecting across the descent separatrix.  Each round's closest approach to
+a critical point that improves on the best so far goes to a Newton corrector,
+and bisection stops at the first corrected point that is sign-changing with
+energy between beta and that of the approach (or at a trajectory that parks
+at slope tolerance in the sign-changing region).
 """
 
 from __future__ import annotations
@@ -24,12 +27,15 @@ from scipy.sparse.linalg import splu
 from ._serial import dumps
 from .cones import RegionLabel, min_dist_to_cones, region_of
 from .energy import EnergyProblem, energy, slope
-from .flow import INTERNAL, FlowConfig, Termination, _make_state, integrate_flow
+from .flow import (ENERGY_SLACK, INTERNAL, FlowConfig, Termination, _make_state,
+                   integrate_flow)
 from .mesh import DiscreteSpace
 
 T_MODES = 8          # T directions are drawn from the first T_MODES eigenfields past phi1
 SWEEP_TOL_M = 1e-3   # loose slope parking during sweeps
-POLISH_DIP = 0.05    # hand dips below this weighted slope to Newton
+# what the separatrix extraction counts: bisection rounds, Newton attempts,
+# and corrected points rejected by region label and by energy window
+EXTRACTION_COUNTS = ("rounds", "newton", "off_label", "off_window")
 
 
 class NoLinkingWindow(RuntimeError):
@@ -299,6 +305,8 @@ class MinimaxReport:
     converged: bool
     wrong_region_events: int = 0
     mesh_tolerance: float = 0.0   # J-resolution of the surface mesh at the maximizer
+    # EXTRACTION_COUNTS of all bisections; for the log, not part of to_dict
+    extraction: dict = field(default_factory=dict)
 
     @property
     def r_final(self) -> float:
@@ -334,7 +342,6 @@ def _classify_descent(prob: EnergyProblem, u0: np.ndarray, cfg: MinimaxConfig,
     sign-changing critical point at the linking level; the floor screens out
     approaches to low-energy attractors).
     """
-    space = prob.space
     base = replace(cfg.flow, mu0=mu0, level_r=None, excised_points=(),
                    t_max=cfg.classify_t_chunk, j_floor=floor_j,
                    max_steps=min(cfg.flow.max_steps, 6000))
@@ -352,7 +359,7 @@ def _classify_descent(prob: EnergyProblem, u0: np.ndarray, cfg: MinimaxConfig,
                 kind = "cone"
                 break
             if s.j > dip_floor:
-                prod = (1.0 + space.h1_norm(s.u)) * s.m
+                prod = (1.0 + s.norm) * s.m
                 if prod < dip_val:
                     dip_val, dip = prod, s
         if traj.termination is Termination.ENERGY_FLOOR:
@@ -412,38 +419,48 @@ def _newton_polish(prob: EnergyProblem, u0: np.ndarray, tol_m: float,
 
 
 def _bisect_separatrix(prob, a, b, class_a, class_b, cfg, mu0, floor_j,
-                       dip_floor: float = -np.inf):
+                       dip_floor: float = -np.inf, counts: dict | None = None):
     """Bisect the segment [a, b] across the descent separatrix.
 
-    Stops when a trajectory parks at slope tolerance, or when a recorded dip
-    comes close enough to hand over to the Newton corrector."""
-    space = prob.space
+    Each dip (see _classify_descent) that improves on the best so far goes to
+    the Newton corrector at once.  Bisection stops at the first trajectory
+    that parks at slope tolerance, or at the first corrected point that is
+    sign-changing with energy in [dip_floor, J(dip)]: a descending trajectory
+    only approaches critical points below it.  Returns None when neither
+    comes within ``cfg.bisect_rounds`` rounds.  ``counts``, when given,
+    accumulates the rounds run, the Newton attempts, and the corrected points
+    rejected by label and by energy window.
+    """
+    counts = dict.fromkeys(EXTRACTION_COUNTS, 0) if counts is None else counts
     lo, hi = a, b
-    best_dip = None
     best_val = np.inf
     for _ in range(cfg.bisect_rounds):
+        counts["rounds"] += 1
         mid = 0.5 * (lo + hi)
         kind, state, dip = _classify_descent(prob, mid, cfg, mu0, floor_j, dip_floor)
         if kind == "done":
             return state
-        if dip is not None:
-            val = (1.0 + space.h1_norm(dip.u)) * dip.m
-            if val < best_val:
-                best_val, best_dip = val, dip
-        if best_val <= POLISH_DIP:
-            break
+        if dip is not None and (val := (1.0 + dip.norm) * dip.m) < best_val:
+            best_val = val
+            counts["newton"] += 1
+            polished = _newton_polish(prob, dip.u, cfg.flow.tol_m)
+            if polished is not None:
+                found = _make_state(prob, polished, 0.0, 0.0, mu0, {})
+                # the flow's own rounding slack on an energy decrease
+                top = dip.j + ENERGY_SLACK * (1.0 + abs(dip.j))
+                if found.label is not RegionLabel.SIGN_CHANGING:
+                    counts["off_label"] += 1
+                elif not dip_floor <= found.j <= top:
+                    counts["off_window"] += 1
+                else:
+                    return found
         if kind == class_a or kind == "unresolved":
             lo = mid
         else:
             hi = mid
         if np.max(np.abs(hi - lo)) < 1e-15 * (1.0 + np.max(np.abs(a))):
             break
-    if best_dip is None:
-        return None
-    polished = _newton_polish(prob, best_dip.u, cfg.flow.tol_m)
-    if polished is None:
-        return None
-    return _make_state(prob, polished, 0.0, 0.0, mu0, {})
+    return None
 
 
 def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig,
@@ -504,6 +521,7 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
     order = np.argsort(-masked, axis=None)
     wrong_region = 0
     candidate_state = None
+    counts = dict.fromkeys(EXTRACTION_COUNTS, 0)
     class_cache: dict[tuple[int, int], tuple[str, object]] = {}
 
     def classify_at(idx):
@@ -553,7 +571,7 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
                 continue
             found = _bisect_separatrix(prob, mesh.images[i, k], mesh.images[idx],
                                        kind, pkind, cfg, mu0, floor_j,
-                                       dip_floor=beta)
+                                       dip_floor=beta, counts=counts)
             if accept(found):
                 break
         if candidate_state is not None:
@@ -569,10 +587,11 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
     if candidate_state is None:
         return MinimaxReport(alpha, beta, r_estimates, param, maximizer, None,
                              float("nan"), None, len(r_estimates), False,
-                             wrong_region, mesh_tolerance)
+                             wrong_region, mesh_tolerance, counts)
     final_slope = slope(prob, candidate_state.u).value
     label = region_of(space, candidate_state.u, mu0)
     converged = final_slope <= cfg.flow.tol_m and label is RegionLabel.SIGN_CHANGING
     return MinimaxReport(alpha, beta, r_estimates, param, maximizer,
                          candidate_state.u.copy(), final_slope, label,
-                         len(r_estimates), converged, wrong_region, mesh_tolerance)
+                         len(r_estimates), converged, wrong_region, mesh_tolerance,
+                         counts)

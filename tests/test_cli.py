@@ -168,6 +168,23 @@ def test_solve_artifacts_and_determinism(tmp_path):
         assert f"config_hash={expected}" in fh.readline()
 
 
+def test_solve_logs_the_extraction_counts(tmp_path):
+    path, _ = small_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    lines = re.findall(r"stage minimax: extraction bisection_rounds=(\d+) "
+                       r"newton_attempts=(\d+) rejected_by_label=(\d+) "
+                       r"rejected_by_energy_window=(\d+)$",
+                       (out / "run.log").read_text(), flags=re.M)
+    assert len(lines) == 1
+    rounds, newton, off_label, off_window = map(int, lines[0])
+    assert off_label + off_window <= newton <= rounds and rounds >= 1
+    # the counts stay out of the report, whose rejected polishes are not
+    # wrong-region events
+    report = json.loads((out / "minimax_report.json").read_text())
+    assert report["wrong_region_events"] == 0 and "extraction" not in report
+
+
 def test_screened_labels_leave_solve_artifacts_unchanged(tmp_path, monkeypatch):
     # region_of decides most labels by distance bounds; projecting every one
     # instead must give the same bytes

@@ -174,6 +174,33 @@ def test_flow_states_copy_and_pickle_with_their_distances(quartic_63):
             assert a.summary() == b.summary() and np.array_equal(a.u, b.u)
 
 
+def test_flow_states_carry_their_h1_norm(quartic_63, tmp_path, monkeypatch):
+    space = quartic_63.space
+    cfg = nf.FlowConfig(mu0=0.3, t_max=2.0, checkpoint_every=5)
+    path = str(tmp_path / "ck.json")
+    traj = nf.integrate_flow(quartic_63, 1.2 * space.eigenpairs(2)[1][1], cfg,
+                             checkpoint_path=path)
+    # the bits of space.h1_norm, kept by copies and pickles, not in summaries
+    for s in traj.states:
+        assert s.norm == space.h1_norm(s.u) and "norm" not in s.summary()
+    for copied in (copy.deepcopy(traj.states), pickle.loads(pickle.dumps(traj.states))):
+        assert [s.norm for s in copied] == [s.norm for s in traj.states]
+    # a loaded state measures it when first read, and then keeps it
+    loaded = load_checkpoint(path, space).states
+    assert all("norm" not in vars(s) for s in loaded)
+    assert [s.norm for s in loaded] == [s.norm for s in traj.states]
+    assert all("norm" in vars(s) for s in loaded)
+    assert load_checkpoint(path).states[0].norm is None
+    # the descent classifier and the Gronwall check read the kept norms
+    from nodalflow.linking import MinimaxConfig, _classify_descent
+    norms = []
+    monkeypatch.setattr(space, "h1_norm", lambda u: norms.append(1) or 0.0)
+    assert nf.monitor_invariance(space, traj, 0.3, cfg).gronwall_ok
+    _classify_descent(quartic_63, 4.0 * space.eigenpairs(2)[1][1], MinimaxConfig(),
+                      0.3, -1e5, dip_floor=1.0)
+    assert not norms
+
+
 def test_monitor_flags_tampered_energy(quartic_63):
     cfg = nf.FlowConfig(mu0=0.3, tol_m=1e-6, t_max=20.0)
     u0 = 1.5 * quartic_63.space.eigenpairs(1)[0][1]

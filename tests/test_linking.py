@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 import nodalflow as nf
-from nodalflow.linking import GapViolation, NoLinkingWindow, SurfaceMesh
+from nodalflow import linking
+from nodalflow.linking import (EXTRACTION_COUNTS, GapViolation, MinimaxConfig,
+                               NoLinkingWindow, SurfaceMesh, _bisect_separatrix,
+                               _classify_descent, _newton_polish)
+from oracles import shooting_sign_changing
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +172,98 @@ def test_t_sphere_sampling_is_m_orthogonal(quartic_63, frame_63):
     for v in nf.sample_t_sphere(space, frame, 8, np.random.default_rng(2)):
         assert abs(space.l2_inner(v, frame.phi1)) <= 1e-10
         assert space.h1_norm(v) == pytest.approx(frame.delta_t, rel=1e-10)
+
+
+# -- separatrix extraction ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def odd_ray(quartic_127):
+    """The odd-ray segment [3 phi2, 6 phi2] of the shooting test, classified.
+
+    The dip floor is half the shooting oracle's level, which screens out the
+    approach to 0 of the trajectories that end in a cone (as the positive-
+    solution test screens its dips); at a floor of 1.0, Newton corrects the
+    first improved dips to 0.
+    """
+    space = quartic_127.space
+    phi2 = space.eigenpairs(2)[1][1]
+    floor = 0.5 * shooting_sign_changing(1.0, space.grid.coords().ravel())[1]
+    cfg = MinimaxConfig()
+    a, b = 3.0 * phi2, 6.0 * phi2
+    ka = _classify_descent(quartic_127, a, cfg, 0.3, -1e5, dip_floor=floor)[0]
+    kb = _classify_descent(quartic_127, b, cfg, 0.3, -1e5, dip_floor=floor)[0]
+    assert ka != kb
+    return a, b, ka, kb, cfg, floor
+
+
+def _bisect(prob, odd_ray):
+    a, b, ka, kb, cfg, floor = odd_ray
+    counts = dict.fromkeys(EXTRACTION_COUNTS, 0)
+    state = _bisect_separatrix(prob, a, b, ka, kb, cfg, 0.3, -1e5, dip_floor=floor,
+                               counts=counts)
+    return state, counts
+
+
+def _assert_certified(prob, state, tol_m):
+    assert state.label is nf.RegionLabel.SIGN_CHANGING
+    assert (1.0 + state.norm) * nf.slope(prob, state.u).value <= tol_m
+
+
+def test_bisection_stops_at_the_first_certified_newton_point(quartic_127, odd_ray,
+                                                             monkeypatch):
+    cfg = odd_ray[4]
+    state, counts = _bisect(quartic_127, odd_ray)
+    assert counts["rounds"] <= 2
+    _assert_certified(quartic_127, state, cfg.flow.tol_m)
+
+    # a full bisection with every corrected point rejected polishes each
+    # improved dip once, as it appears, and nothing after the last round
+    dips, polished = [], []
+    real_classify = linking._classify_descent
+
+    def classify(*args, **kwargs):
+        outcome = real_classify(*args, **kwargs)
+        dips.append(outcome[2])
+        return outcome
+
+    monkeypatch.setattr(linking, "_classify_descent", classify)
+    monkeypatch.setattr(linking, "_newton_polish", lambda prob, u, tol_m:
+                        polished.append(u) or None)
+    full, full_counts = _bisect(quartic_127, odd_ray)
+    assert full is None and len(dips) == cfg.bisect_rounds
+    improved, best = [], np.inf
+    for dip in dips:
+        if dip is not None and (1.0 + dip.norm) * dip.m < best:
+            best = (1.0 + dip.norm) * dip.m
+            improved.append(dip.u)
+    assert len(polished) == len(improved) == full_counts["newton"]
+    assert all(np.array_equal(p, q) for p, q in zip(polished, improved))
+    assert full_counts == dict(rounds=cfg.bisect_rounds, newton=len(improved),
+                               off_label=0, off_window=0)
+    # the early stop lands where polishing the best dip of 40 rounds lands
+    u_best = _newton_polish(quartic_127, improved[-1], cfg.flow.tol_m)
+    scale = np.max(np.abs(u_best))
+    assert np.max(np.abs(state.u - u_best)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("reject", ["off_label", "off_window"])
+def test_bisection_goes_on_past_a_rejected_newton_point(quartic_127, odd_ray,
+                                                        monkeypatch, reject):
+    space = quartic_127.space
+    lam4, phi4 = space.eigenpairs(4)[3]
+    # 0 lies in both cones; the ray maximum of phi4 is sign-changing, with
+    # energy far above any dip of the segment
+    wrong = (space.zero_field() if reject == "off_label"
+             else np.sqrt(lam4 / np.sum(space.M_diag * phi4**4)) * phi4)
+    calls = []
+
+    def first_wrong(prob, u, tol_m):
+        calls.append(u)
+        return wrong.copy() if len(calls) == 1 else _newton_polish(prob, u, tol_m)
+
+    monkeypatch.setattr(linking, "_newton_polish", first_wrong)
+    state, counts = _bisect(quartic_127, odd_ray)
+    assert state is not None and len(calls) >= 2 and counts[reject] == 1
+    _assert_certified(quartic_127, state, odd_ray[4].flow.tol_m)
+    assert nf.sign_changes(state.u) == 1
