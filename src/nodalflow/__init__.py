@@ -6,8 +6,8 @@ from .cones import (ConeNeighborhood, InvarianceReport, ProjectionResult,
                     project_cone, region_of)
 from .config import ConfigError, RunConfig, config_hash, load_config
 from .energy import (EnergyProblem, PSReport, SetSlopeResult, SlopeResult,
-                     SubdifferentialBox, energy, ps_monitor, slope, slope_on_set,
-                     stationarity_residual, subdifferential_box)
+                     SubdifferentialBox, energies, energy, ps_monitor, slope,
+                     slope_on_set, stationarity_residual, subdifferential_box)
 from .flow import (FlowConfig, FlowState, Termination, Trajectory, cutoff_psi,
                    cutoff_rho, integrate_flow, monitor_invariance,
                    pseudo_gradient, resume_flow)

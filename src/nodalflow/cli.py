@@ -44,34 +44,60 @@ class _Run:
 
     Nothing is written until ``open``, which a command calls once its inputs
     are checked.  ``stage`` names the pipeline stage in progress, for the error
-    report of a numerical failure.
+    report of a numerical failure.  ``seconds`` holds the wall seconds spent
+    in each stage, with the time spent writing files under "write".
     """
 
     def __init__(self, outdir: str, cfg: RunConfig):
         self.outdir = outdir
         self.cfg = cfg
         self._log_path = os.path.join(outdir, "run.log")
-        self.stage = "setup"
+        self.seconds: dict[str, float] = {}
+        self._stage = "setup"
+        self._since = time.perf_counter()
+
+    @property
+    def stage(self) -> str:
+        return self._stage
+
+    @stage.setter
+    def stage(self, name: str):
+        self._clock(self._stage)
+        self._stage = name
+
+    def _clock(self, stage: str):
+        """Charge the wall time since the last charge to ``stage``."""
+        now = time.perf_counter()
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self._since
+        self._since = now
+
+    def _write(self, path: str, mode: str, text: str):
+        self._clock(self._stage)
+        with open(path, mode) as fh:
+            fh.write(text)
+        self._clock("write")
 
     def open(self):
         os.makedirs(self.outdir, exist_ok=True)
-        with open(self._log_path, "w") as fh:
-            fh.write(f"# config_hash={self.cfg.hash}\n")
+        self._write(self._log_path, "w", f"# config_hash={self.cfg.hash}\n")
 
     def log(self, message: str):
-        with open(self._log_path, "a") as fh:
-            fh.write(f"[{time.strftime('%Y-%m-%dT%H:%M:%S')}] {message}\n")
+        self._write(self._log_path, "a",
+                    f"[{time.strftime('%Y-%m-%dT%H:%M:%S')}] {message}\n")
+
+    def log_timings(self, stages: tuple[str, ...]):
+        """One log line with the wall seconds of each of ``stages``."""
+        self._clock(self._stage)
+        self.log("stage timings: " + " ".join(
+            f"{name}={self.seconds.get(name, 0.0):.6f}s" for name in stages))
 
     def write_text(self, name: str, text: str):
-        with open(os.path.join(self.outdir, name), "w") as fh:
-            fh.write(text)
+        self._write(os.path.join(self.outdir, name), "w", text)
 
     def write_json(self, name: str, payload: dict):
         payload = dict(payload)
         payload["config_hash"] = self.cfg.hash
-        with open(os.path.join(self.outdir, name), "w") as fh:
-            fh.write(dumps(payload, indent=2))
-            fh.write("\n")
+        self._write(os.path.join(self.outdir, name), "w", dumps(payload, indent=2) + "\n")
 
     def write_error(self, exc: Exception):
         """error_report.json for a failure that ends the command, if the
@@ -159,8 +185,19 @@ def _pre_stages(cfg: RunConfig, prob, rng, run: _Run, write: bool):
     return hyp, mu0, (rep_p, rep_m), passed
 
 
+# the stages whose wall seconds the solve logs last
+SOLVE_STAGES = ("hypotheses", "mu0", "schauder", "frame", "minimax", "write")
+
+
 def cmd_solve(cfg: RunConfig, run: _Run) -> int:
     run.open()
+    try:
+        return _solve(cfg, run)
+    finally:
+        run.log_timings(SOLVE_STAGES)
+
+
+def _solve(cfg: RunConfig, run: _Run) -> int:
     rngs = _spawn_rngs(cfg.seed)
     space = build_space(cfg.grid)
     prob = EnergyProblem(space, cfg.potential, cfg.lam)

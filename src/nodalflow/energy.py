@@ -18,7 +18,7 @@ import numpy as np
 
 from ._serial import dumps
 from .cones import ConeNeighborhood, project_cone
-from .mesh import DiscreteSpace
+from .mesh import DiscreteSpace, MeshError
 from .potential import PiecewisePotential
 
 
@@ -82,6 +82,26 @@ def energy(prob: EnergyProblem, u: np.ndarray, au: np.ndarray | None = None) -> 
     quad = 0.5 * float(u @ au)
     c = prob.coefficient
     pot = float(np.sum(c * prob.space.M_diag * prob.potential.value(u)))
+    return quad - prob.lam * pot
+
+
+def energies(prob: EnergyProblem, fields: np.ndarray) -> np.ndarray:
+    """J of each row of a (B, dim) block of fields, with the bits ``energy``
+    gives for that row.
+
+    The block is checked once, not row by row.  Each column of A U' sums in
+    the order of the mat-vec A u, and each quadratic term is the same dot
+    product; a row-wise einsum would sum in another order.
+    """
+    space = prob.space
+    fields = np.ascontiguousarray(fields, dtype=float)
+    if fields.ndim != 2 or fields.shape[1] != space.dim:
+        raise MeshError(f"field block shape {fields.shape} does not match "
+                        f"grid size {space.dim}")
+    aus = np.ascontiguousarray((space.A @ fields.T).T)
+    quad = np.array([0.5 * float(u @ au) for u, au in zip(fields, aus)])
+    c = prob.coefficient
+    pot = np.sum(c * space.M_diag * prob.potential.value(fields), axis=1)
     return quad - prob.lam * pot
 
 

@@ -26,7 +26,7 @@ from scipy.sparse.linalg import splu
 
 from ._serial import dumps
 from .cones import RegionLabel, min_dist_to_cones, region_of
-from .energy import EnergyProblem, energy, slope
+from .energy import EnergyProblem, energies, slope
 from .flow import (ENERGY_SLACK, INTERNAL, FlowConfig, Termination, _make_state,
                    integrate_flow)
 from .mesh import DiscreteSpace
@@ -124,11 +124,12 @@ def build_frame(prob: EnergyProblem, mu0: float, scan: ScanConfig,
     pairs = space.eigenpairs(2)
     (lam1, phi1), (lam2, phi2) = pairs[0], pairs[1]
     hat1, hat2 = phi1 / np.sqrt(lam1), phi2 / np.sqrt(lam2)
-    thetas = np.linspace(0.0, np.pi, scan.n_theta)
+    # the unit arc, one angle per row; each radius scores its arc as one block
+    arc = np.array([np.cos(t) * hat1 + np.sin(t) * hat2
+                    for t in np.linspace(0.0, np.pi, scan.n_theta)])
 
     def arc_max(radius: float) -> float:
-        return max(energy(prob, radius * (np.cos(t) * hat1 + np.sin(t) * hat2))
-                   for t in thetas)
+        return float(np.max(energies(prob, radius * arc)))
 
     radius = None
     radius_profile = {}
@@ -147,12 +148,13 @@ def build_frame(prob: EnergyProblem, mu0: float, scan: ScanConfig,
     dirs = _v_directions(space, phi1, scan.n_directions, rng)
     # cone distances are positively homogeneous: evaluate once at unit scale
     unit_dist = min_dist_to_cones(space, dirs)
+    dir_block = np.array(dirs)
     delta_profile = {}
     feasible = []
     for delta in scan.delta_grid:
         if delta >= radius:
             continue
-        min_j = min(energy(prob, delta * d) for d in dirs)
+        min_j = float(np.min(energies(prob, delta * dir_block)))
         delta_profile[delta] = min_j
         if min_j > 0.0 and delta * unit_dist > mu0 * scan.cone_margin:
             feasible.append(delta)
@@ -171,19 +173,18 @@ def estimate_alpha_beta(prob: EnergyProblem, frame: LinkingFrame,
                         n_t: int = 64) -> tuple[float, float]:
     """alpha = max J over the sign-changing part of dQ, beta = min J over T."""
     space = prob.space
-    alpha = -np.inf
-    for theta in np.linspace(0.0, np.pi, n_arc):
-        for rho, th in [(1.0, theta), (theta / np.pi, 0.0), (theta / np.pi, np.pi)]:
-            u = frame.q_point(rho, th)
-            if region_of(space, u, frame.mu0) is RegionLabel.SIGN_CHANGING:
-                alpha = max(alpha, energy(prob, u))
-    beta = min(energy(prob, v) for v in sample_t_sphere(space, frame, n_t, rng))
-    if not np.isfinite(alpha):
+    boundary = [frame.q_point(rho, th) for theta in np.linspace(0.0, np.pi, n_arc)
+                for rho, th in [(1.0, theta), (theta / np.pi, 0.0), (theta / np.pi, np.pi)]]
+    changing = [u for u in boundary
+                if region_of(space, u, frame.mu0) is RegionLabel.SIGN_CHANGING]
+    beta = float(np.min(energies(prob, sample_t_sphere(space, frame, n_t, rng))))
+    if not changing:
         raise NoLinkingWindow("no sign-changing points found on the Q boundary")
+    alpha = float(np.max(energies(prob, changing)))
     if not alpha < beta:
         raise GapViolation(f"no gap: alpha={alpha:.6g} >= beta={beta:.6g}",
                            {"alpha": alpha, "beta": beta})
-    return float(alpha), float(beta)
+    return alpha, beta
 
 
 # -- surface ------------------------------------------------------------------
@@ -233,9 +234,8 @@ class SurfaceMesh:
         return out
 
     def energies(self, prob: EnergyProblem) -> np.ndarray:
-        nr, nt = self.frozen.shape
-        return np.array([[energy(prob, self.images[i, k]) for k in range(nt)]
-                         for i in range(nr)])
+        nr, nt, dim = self.images.shape
+        return energies(prob, self.images.reshape(nr * nt, dim)).reshape(nr, nt)
 
     def to_csv(self, prob: EnergyProblem, header_lines: tuple[str, ...] = ()) -> str:
         """Energy matrix of the surface (rows rho, columns theta), for plotting."""

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import time
 import typing
 
 import numpy as np
@@ -199,6 +200,44 @@ def test_screened_labels_leave_solve_artifacts_unchanged(tmp_path, monkeypatch):
                            if p.suffix in (".csv", ".json"))
     for name in names:
         assert (screened / name).read_bytes() == (projected / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("grid", [
+    {"dimension": 1, "bounds": [0.0, 1.0], "n": 63},
+    {"dimension": 2, "bounds": [[0.0, 2.0], [0.0, 1.0]], "n": [15, 7]}])
+def test_block_energies_leave_solve_artifacts_unchanged(tmp_path, monkeypatch, grid):
+    # the frame scan, the alpha/beta estimate and the surface score their
+    # fields as blocks; scoring one field at a time must give the same bytes,
+    # the surface snapshots included
+    path, _ = small_config(tmp_path, grid=grid, seed=1, linking={"snapshots": True})
+    block, single = tmp_path / "block", tmp_path / "single"
+    assert main(["solve", "--config", path, "--out", str(block)]) == 0
+    monkeypatch.setattr(nf.linking, "energies", lambda prob, fields:
+                        np.array([nf.energy(prob, u) for u in fields]))
+    assert main(["solve", "--config", path, "--out", str(single)]) == 0
+    names = sorted(p.name for p in block.iterdir() if p.name != "run.log")
+    assert "surface_000.csv" in names and "solution.csv" in names
+    assert names == sorted(p.name for p in single.iterdir() if p.name != "run.log")
+    for name in names:
+        assert (block / name).read_bytes() == (single / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("overrides, code", [({}, 0), ({"lambda": 0.001}, 3)])
+def test_solve_logs_its_stage_timings(tmp_path, overrides, code):
+    path, _ = small_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["solve", "--config", path, "--out", str(out)]) == code
+    wall = time.perf_counter() - start
+    lines = re.findall(r"^\[[^]]*\] stage timings: (.*)$", (out / "run.log").read_text(),
+                       flags=re.M)
+    assert len(lines) == 1
+    pairs = [re.fullmatch(r"(\w+)=(\d+\.\d+)s", item).groups() for item in lines[0].split()]
+    assert [name for name, _ in pairs] == ["hypotheses", "mu0", "schauder", "frame",
+                                           "minimax", "write"]
+    seconds = dict((name, float(value)) for name, value in pairs)
+    assert sum(seconds.values()) <= wall and seconds["schauder"] > 0.0
+    assert (seconds["minimax"] > 0.0) == (code == 0)
 
 
 def test_seed_override_changes_hash(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodalflow as nf
+from nodalflow.mesh import MeshError
 from oracles import box_grid_slope, enum_dist_batch, saddle_set_slope
 
 
@@ -263,3 +264,49 @@ def test_precomputed_au_gives_the_same_bits(dim, seed, scale, zeros):
     assert given_res.value == res.value and given_res.iterations == res.iterations
     for name in ("selection", "certificate", "riesz"):
         assert getattr(given_res, name).tobytes() == getattr(res, name).tobytes()
+
+
+def test_energies_checks_the_block_once(quartic_63, space_63, monkeypatch):
+    u = np.linspace(-1.0, 1.0, 63)
+    for bad in (u, np.zeros((2, 64)), np.zeros((2, 3, 63))):
+        with pytest.raises(MeshError):
+            nf.energies(quartic_63, bad)
+    expected = nf.energy(quartic_63, u)
+
+    def per_row(field):
+        raise AssertionError("energies checked a row")
+
+    monkeypatch.setattr(space_63, "check_field", per_row)
+    js = nf.energies(quartic_63, u[None, :])
+    assert js.shape == (1,) and js[0] == expected
+
+
+def _coefficient_potential():
+    # the abs potential scaled by c(x) = 1 + x, as in test_potential.py
+    return nf.PiecewisePotential(
+        (0.0,), (lambda s: -s, lambda s: s),
+        (lambda s: -np.ones_like(s), lambda s: np.ones_like(s)),
+        a1=1.0, q=2.5, mu=2.5, name="abs_x", coefficient=lambda x: 1.0 + x[:, 0])
+
+
+BLOCK_SPACES = {1: nf.build_space(nf.GridSpec.interval(0.0, 1.0, 127)),
+                2: nf.build_space(nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (39, 19)))}
+BLOCK_POTENTIALS = {"power:4": nf.power_potential(4),
+                    "two_slope:1,2": nf.two_slope_potential(1.0, 2.0),
+                    "abs_x": _coefficient_potential()}
+
+
+@settings(max_examples=40)
+@given(dim=st.sampled_from([1, 2]), name=st.sampled_from(sorted(BLOCK_POTENTIALS)),
+       rows=st.sampled_from([1, 7, 64]), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 3.0), kinks=st.floats(0.0, 0.5))
+def test_energies_give_the_bits_of_energy(dim, name, rows, seed, scale, kinks):
+    pot = BLOCK_POTENTIALS[name]
+    prob = nf.EnergyProblem(BLOCK_SPACES[dim], pot, 1.3)
+    rng = np.random.default_rng(seed)
+    block = scale * rng.normal(size=(rows, prob.space.dim))
+    # some nodes exactly on a breakpoint (on 0 for the one-piece power)
+    at = rng.random(block.shape) < kinks
+    block[at] = rng.choice(pot.breakpoints or (0.0,), size=int(at.sum()))
+    assert np.array_equal(nf.energies(prob, block),
+                          [nf.energy(prob, u) for u in block])
