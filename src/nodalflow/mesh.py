@@ -23,6 +23,10 @@ class MeshError(ValueError):
     """Invalid grid specification or non-conforming field."""
 
 
+# eigenvalues this close (relative) are one eigenvalue computed in two rounding orders
+EIGEN_TIE_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Tensor grid on an interval (dimension 1) or axis-aligned rectangle (dimension 2).
@@ -196,8 +200,8 @@ class DiscreteSpace:
     def eigenpairs(self, k: int) -> list[tuple[float, np.ndarray]]:
         """First k generalized eigenpairs of A phi = lambda M phi.
 
-        M-orthonormal, eigenvalues ascending, each phi sign-fixed so its
-        largest-magnitude entry is positive (phi_1 comes out entrywise positive).
+        M-orthonormal sine modes, eigenvalues ascending, each positive at the first
+        node; eigenvalues within EIGEN_TIE_RTOL (relative) go by mode index (i, j).
         """
         if not 1 <= k <= self.dim:
             raise MeshError(f"k must be in [1, {self.dim}], got {k}")
@@ -206,32 +210,26 @@ class DiscreteSpace:
         return [(float(self._eigvals[i]), self._eigvecs[:, i].copy()) for i in range(k)]
 
     def _compute_eigen(self, k: int):
-        if self.dim <= 2000 or k >= self.dim - 1:
-            A = self.A.toarray()
-            M = np.diag(self.M_diag)
-            vals, vecs = scipy.linalg.eigh(A, M)
-        else:
-            M = sp.diags(self.M_diag).tocsc()
-            # ARPACK starts from a random vector unless given one; a fixed
-            # start makes the result a function of the grid.  It must have no
-            # symmetry: A and M commute with the grid's reflections, so the
-            # Krylov space of an even start holds no odd mode (phi_2 is odd).
-            # Being positive, it is not M-orthogonal to the positive phi_1.
-            v0 = np.random.default_rng(0).random(self.dim)
-            vals, vecs = spla.eigsh(self.A, k=k, M=M, sigma=0.0, which="LM", v0=v0)
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
-        for i in range(vecs.shape[1]):
-            j = int(np.argmax(np.abs(vecs[:, i])))
-            if vecs[j, i] < 0:
-                vecs[:, i] *= -1.0
-        self._eigvals, self._eigvecs = vals, vecs
+        """Closed form for the uniform 3-point (1D) or 5-point (2D) Dirichlet pair
+        with lumped mass: phi_ij(x_a, y_b) = prod over axes of sqrt(2/L) sin(i pi a/(n+1)),
+        lambda_ij = sum over axes of (2/h sin(i pi/(2(n+1))))^2 (2 - 2cos would cancel)."""
+        n, vals = self.grid.n, np.zeros(1)
+        for nk, hk in zip(n, self.grid.spacing):
+            mu = (2.0 / hk * np.sin(np.arange(1, nk + 1) * np.pi / (2 * nk + 2))) ** 2
+            vals = np.add.outer(vals, mu).ravel()
+        order = np.argsort(vals)
+        # the modes of one cluster of equal eigenvalues go by flat index, the (i, j) order
+        cluster = np.cumsum(np.r_[True, np.diff(vals[order]) > EIGEN_TIE_RTOL * vals[order][1:]])
+        order = order[np.lexsort((order, cluster))][:k]
+        vecs = np.ones((1, k))
+        for nk, (a, b), i in zip(n, self.grid.bounds, np.unravel_index(order, n)):
+            arg = np.outer(np.arange(1, nk + 1), i + 1) * (np.pi / (nk + 1))
+            vecs = (vecs[:, None, :] * (np.sqrt(2.0 / (b - a)) * np.sin(arg))).reshape(-1, k)
+        self._eigvals, self._eigvecs = vals[order], vecs
 
-    @property
+    @cached_property
     def lambda1(self) -> float:
-        if self._eigvals is None:
-            self._compute_eigen(1)
-        return float(self._eigvals[0])
+        return self.eigenpairs(1)[0][0]
 
     @cached_property
     def condition(self) -> float:

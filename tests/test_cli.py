@@ -4,6 +4,8 @@ import importlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import typing
@@ -220,6 +222,26 @@ def test_block_energies_leave_solve_artifacts_unchanged(tmp_path, monkeypatch, g
     assert names == sorted(p.name for p in single.iterdir() if p.name != "run.log")
     for name in names:
         assert (block / name).read_bytes() == (single / name).read_bytes(), name
+
+
+def test_2d_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the 39x19 rectangle has the double eigenvalue lambda_5 = lambda_6 among
+    # the T modes; a dense eigensolver gave it a basis that moved with the
+    # BLAS thread count, and with it every artifact but hypothesis_report.json
+    path, _ = small_config(tmp_path, grid={"dimension": 2, "bounds": [[0.0, 2.0], [0.0, 1.0]],
+                                           "n": [39, 19]}, seed=1)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nf.__file__)))
+    outs = [tmp_path / f"threads{threads}" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+        subprocess.run([sys.executable, "-m", "nodalflow.cli", "solve", "--config", path,
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "run.log")
+    assert "solution.csv" in names and "frame.json" in names
+    assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "run.log")
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("overrides, code", [({}, 0), ({"lambda": 0.001}, 3)])

@@ -177,20 +177,68 @@ def test_field_csv_roundtrip(space_63, rng):
     assert text.startswith("# config_hash=deadbeef")
 
 
-def test_sparse_eigen_path_is_deterministic():
-    # past 2,000 nodes the eigenpairs come from ARPACK, which starts from a
-    # random vector unless it is given one
+def test_eigenpairs_repeat_bit_equal_and_match_dense_eigh_with_odd_phi2():
     spec = nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (46, 44))
     assert spec.size > 2000
     first, second = (nf.build_space(spec).eigenpairs(3) for _ in range(2))
     for (lam_a, phi_a), (lam_b, phi_b) in zip(first, second, strict=True):
         assert lam_a == lam_b and np.array_equal(phi_a, phi_b)
-    # and they are the first three: a start vector with the grid's symmetry
-    # would keep the Krylov space away from the odd phi_2, the (2,1) mode
     space = nf.build_space(spec)
     dense = scipy.linalg.eigh(space.A.toarray(), np.diag(space.M_diag),
                               eigvals_only=True, subset_by_index=[0, 2])
     assert np.allclose([lam for lam, _ in first], dense, rtol=1e-10, atol=0.0)
     assert np.all(first[0][1] > 0)
+    # phi_2 is the (2,1) mode, odd under the reflection x -> 2 - x
     phi2 = first[1][1].reshape(spec.n)
     assert np.allclose(phi2[::-1, :], -phi2, atol=1e-8 * np.abs(phi2).max())
+
+
+def sine_mode(spec, mode):
+    """M-normalized sine product of mode (i, j), C-ordered like the nodes."""
+    phi = np.ones(1)
+    for (a, b), n, i in zip(spec.bounds, spec.n, mode):
+        axis = np.sin(i * np.pi * np.arange(1, n + 1) / (n + 1)) * np.sqrt(2.0 / (b - a))
+        phi = np.outer(phi, axis).ravel()
+    return phi
+
+
+@pytest.mark.parametrize("spec, first, modes", [
+    (nf.GridSpec.rectangle([(0.0, 1.0), (0.0, 1.0)], (25, 25)), 1, [(1, 2), (2, 1)]),
+    (nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (39, 19)), 4, [(2, 2), (4, 1)]),
+], ids=["square-25x25", "rect-39x19"])
+def test_degenerate_eigenspaces_take_the_sine_basis_in_mode_order(spec, first, modes):
+    pairs = nf.build_space(spec).eigenpairs(first + len(modes))
+    lams = [lam for lam, _ in pairs[first:]]
+    assert lams[0] == pytest.approx(lams[1], rel=1e-14)
+    for (_, phi), mode in zip(pairs[first:], modes, strict=True):
+        assert np.max(np.abs(phi - sine_mode(spec, mode))) <= 1e-12 * np.max(np.abs(phi))
+
+
+@pytest.mark.parametrize("spec", [
+    nf.GridSpec.interval(0.0, 1.0, 127),
+    nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (39, 19)),
+], ids=["1d-127", "2d-39x19"])
+def test_every_eigenfield_is_positive_at_the_first_node(spec):
+    space = nf.build_space(spec)
+    assert all(phi[0] > 0 for _, phi in space.eigenpairs(space.dim))
+
+
+@pytest.mark.parametrize("spec", [
+    nf.GridSpec.interval(0.0, 1.0, 7),
+    nf.GridSpec.rectangle([(0.0, 1.0), (0.0, 1.0)], (5, 4)),
+], ids=["1d-7", "2d-5x4"])
+def test_eigenpairs_for_every_k_agree_with_dense_eigh(spec):
+    space = nf.build_space(spec)
+    dense = scipy.linalg.eigh(space.A.toarray(), np.diag(space.M_diag), eigvals_only=True)
+    for k in range(1, space.dim + 1):
+        pairs = nf.build_space(spec).eigenpairs(k)
+        lams = np.array([lam for lam, _ in pairs])
+        phis = np.column_stack([phi for _, phi in pairs])
+        assert np.allclose(lams, dense[:k], rtol=1e-10, atol=0.0)
+        resid = space.A @ phis - lams * (space.M_diag[:, None] * phis)
+        assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(space.A @ phis))
+        gram = phis.T @ (space.M_diag[:, None] * phis)
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
+    for k in (0, space.dim + 1):
+        with pytest.raises(MeshError):
+            space.eigenpairs(k)
