@@ -12,10 +12,17 @@ The product A u is formed once per field: for the initial state in
 energy, and on acceptance its subdifferential box, slope and H^1 norm, all
 read that one array; only the cone-distance bounds of its label form their
 own products.
+
+A checkpoint is JSON Lines, appended to and never rewritten: one row per state
+with its ``trajectory.csv`` values and its field ``u`` as the base64 of the
+little-endian float64 bytes, and a commit line ``{"dt_next", "step"}`` after
+each batch of rows.  The fields reload bit for bit, with nothing printed or
+parsed as decimals.
 """
 
 from __future__ import annotations
 
+import base64
 import io
 import json
 from dataclasses import InitVar, dataclass, field
@@ -376,15 +383,26 @@ def monitor_invariance(space: DiscreteSpace, traj: Trajectory, mu0: float,
 # -- checkpointing ---------------------------------------------------------------
 
 
+def _encode_field(u: np.ndarray) -> str:
+    return base64.b64encode(u.astype("<f8").tobytes()).decode("ascii")
+
+
+def _decode_field(text: str) -> np.ndarray:
+    # TypeError for a decimal list, ValueError for text not base64 of whole float64s
+    return np.frombuffer(base64.b64decode(text, validate=True), "<f8").astype(np.float64)
+
+
 def save_checkpoint(path: str, states: list[FlowState], dt_next: float, start: int = 0):
     """Commit ``states`` to the JSON Lines checkpoint at ``path``.
 
     Writes one row per state of ``states[start:]``, then the commit line
-    ``{"dt_next", "step"}``.  ``start`` 0 begins a new file; otherwise the rows
+    ``{"dt_next", "step"}``.  A row holds the state's ``summary`` values and
+    ``u``, the base64 of the field's little-endian float64 bytes, so the field
+    reads back bit for bit.  ``start`` 0 begins a new file; otherwise the rows
     are appended after the commit of ``states[:start]``, so each state is
     written once and committed bytes are never rewritten.
     """
-    lines = [json.dumps(dict(s.summary(), u=s.u.tolist()), sort_keys=True)
+    lines = [json.dumps(dict(s.summary(), u=_encode_field(s.u)), sort_keys=True)
              for s in states[start:]]
     lines.append(json.dumps({"dt_next": dt_next, "step": len(states) - 1}, sort_keys=True))
     with open(path, "w" if start == 0 else "a") as fh:
@@ -410,7 +428,8 @@ def load_checkpoint(path: str, space: DiscreteSpace | None = None) -> Checkpoint
     Rows after the last commit line, and a last line with no newline, are the
     tail of an interrupted write and are ignored.  Raises ValueError when the
     file holds no commit or a complete line that is neither a state row nor a
-    commit of the rows before it.
+    commit of the rows before it; a row whose ``u`` is not base64 of whole
+    float64s, or not as long as the first row's, is no state row.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -423,11 +442,13 @@ def load_checkpoint(path: str, space: DiscreteSpace | None = None) -> Checkpoint
         try:
             row = json.loads(line)
             if "u" in row:
-                states.append(FlowState(
-                    t=row["t"], u=np.asarray(row["u"]), j=row["j"], m=row["m"],
-                    d_plus=row["d_plus"], d_minus=row["d_minus"],
-                    label=RegionLabel(row["label"]), dt_used=row["dt"], space=space))
-                continue
+                u = _decode_field(row["u"])
+                if not states or u.size == states[0].u.size:
+                    states.append(FlowState(
+                        t=row["t"], u=u, j=row["j"], m=row["m"],
+                        d_plus=row["d_plus"], d_minus=row["d_minus"],
+                        label=RegionLabel(row["label"]), dt_used=row["dt"], space=space))
+                    continue
             if (set(row) == {"dt_next", "step"} and states
                     and row["step"] == len(states) - 1):
                 committed, dt_next, end = len(states), float(row["dt_next"]), pos

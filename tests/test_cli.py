@@ -333,23 +333,31 @@ def test_flow_and_resume_bytes(tmp_path):
     res, dt_res = load_checkpoint(os.path.join(out_res, "checkpoint.json"))
     assert dt_res == dt_full and len(res) == len(full)
     for a, b in zip(res, full):
-        assert a.summary() == b.summary() and np.array_equal(a.u, b.u)
+        assert a.summary() == b.summary() and a.u.tobytes() == b.u.tobytes()
 
 
 def _bad_checkpoint(tmp_path, case):
-    """A missing file, rows with no commit, or a 63-node field for a 15-node grid."""
+    """A missing file, rows with no commit, a 63-node field for a 15-node grid,
+    or a 15-node field written as a decimal list or as text that is not base64."""
     path = tmp_path / f"{case}.json"
-    if case != "missing":
-        state = nf.FlowState(0.0, np.zeros(63), 0.0, 0.0, 0.0, 0.0,
-                             nf.RegionLabel.OVERLAP, 0.0)
-        save_checkpoint(str(path), [state], 0.05)
+    if case == "missing":
+        return path
+    n = 15 if case in ("decimal_list", "bad_base64") else 63
+    state = nf.FlowState(0.0, np.zeros(n), 0.0, 0.0, 0.0, 0.0, nf.RegionLabel.OVERLAP, 0.0)
+    save_checkpoint(str(path), [state], 0.05)
+    row, commit = path.read_text().splitlines(keepends=True)
     if case == "uncommitted":
-        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        path.write_text(row)
+    elif n == 15:
+        fields = json.loads(row)
+        fields["u"] = [0.0] * n if case == "decimal_list" else "?" * len(fields["u"])
+        path.write_text(json.dumps(fields, sort_keys=True) + "\n" + commit)
     return path
 
 
 @pytest.mark.parametrize("command", ["flow", "verify"])
-@pytest.mark.parametrize("case", ["missing", "uncommitted", "wrong_length"])
+@pytest.mark.parametrize("case", ["missing", "uncommitted", "wrong_length",
+                                  "decimal_list", "bad_base64"])
 def test_bad_checkpoint_input_exits_2_without_output(tmp_path, capsys, command, case):
     path, _ = small_config(tmp_path, mu0=0.3,
                            grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 15})

@@ -1,14 +1,19 @@
+import base64
 import copy
 import json
+import math
 import pickle
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nodalflow as nf
 from nodalflow import cones, flow
-from nodalflow.flow import ARMIJO_C1, cutoff_psi, cutoff_rho, load_checkpoint
+from nodalflow.flow import (ARMIJO_C1, cutoff_psi, cutoff_rho, load_checkpoint,
+                            save_checkpoint)
 from oracles import newton_discrete
 
 
@@ -291,8 +296,53 @@ def test_checkpoint_roundtrip(quartic_63, tmp_path):
     states, dt_next = load_checkpoint(path)
     assert len(states) == len(traj.states)
     for a, b in zip(states, traj.states):
-        assert a.j == b.j and a.t == b.t and np.array_equal(a.u, b.u)
+        assert a.j == b.j and a.t == b.t and a.u.tobytes() == b.u.tobytes()
         assert a.label == b.label
+
+
+# values a decimal round trip is most likely to get wrong: signed zeros, the
+# smallest subnormal, the extremes of the range and 17-digit reprs
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2, 1 / 3,
+                2.0 ** 0.5, 2.2250738585072014e-308]
+
+
+def _checkpoint_state(u, t):
+    return nf.FlowState(t, u, 1.0, 0.5, 0.25, 0.125, nf.RegionLabel.OVERLAP, 0.05)
+
+
+@settings(max_examples=60)
+@given(dim=st.integers(1, 40), n_states=st.integers(1, 4), data=st.data())
+def test_checkpoint_fields_round_trip_bit_for_bit(tmp_path_factory, dim, n_states, data):
+    element = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64))
+    fields = [np.array(data.draw(st.lists(element, min_size=dim, max_size=dim)),
+                       dtype=np.float64) for _ in range(n_states)]
+    path = tmp_path_factory.mktemp("ck") / "ck.json"
+    states = [_checkpoint_state(u, float(i)) for i, u in enumerate(fields)]
+    save_checkpoint(str(path), states, 0.05)
+    loaded = load_checkpoint(str(path)).states
+    assert [s.u.tobytes() for s in loaded] == [u.tobytes() for u in fields]
+    assert all(s.u.dtype == np.float64 and s.u.flags.writeable for s in loaded)
+    rows = [json.loads(ln) for ln in path.read_text().splitlines()[:-1]]
+    # 8*dim bytes as base64, never a decimal list
+    assert [len(r["u"]) for r in rows] == [4 * math.ceil(8 * dim / 3)] * n_states
+
+
+@pytest.mark.parametrize("bad_u", [
+    [0.0, 1.0, 2.0],                                          # decimal list, the old format
+    "not*base64!",                                            # characters outside base64
+    base64.b64encode(bytes(12)).decode(),                     # 12 bytes: 1.5 float64s
+    base64.b64encode(np.zeros(4).tobytes()).decode(),         # a field of another grid
+], ids=["decimal_list", "bad_base64", "partial_float", "other_length"])
+def test_malformed_checkpoint_field_is_rejected(tmp_path, bad_u):
+    path = tmp_path / "ck.json"
+    save_checkpoint(str(path), [_checkpoint_state(np.arange(3.0), t) for t in (0.0, 1.0)],
+                    0.05)
+    first, second, commit = path.read_text().splitlines(keepends=True)
+    row = json.loads(second)
+    row["u"] = bad_u
+    path.write_text(first + json.dumps(row, sort_keys=True) + "\n" + commit)
+    with pytest.raises(ValueError, match="line 2 is neither a state row"):
+        load_checkpoint(str(path))
 
 
 def test_resume_matches_uninterrupted(quartic_63, tmp_path):
