@@ -277,7 +277,7 @@ def cmd_flow(cfg: RunConfig, run: _Run, start: str, resume: str | None) -> int:
                                 (f"config_hash={cfg.hash}",
                                  f"termination={traj.termination.value}")))
     run.stage = "verdict"
-    verdict = monitor_invariance(space, traj, mu0, flow_cfg)
+    verdict = monitor_invariance(space, traj, mu0)
     run.write_json("flow_verdict.json",
                    dict(verdict.to_dict(), termination=traj.termination.value))
     run.log(f"flow finished: {traj.termination.value}, {len(traj.states)} states")

@@ -26,7 +26,6 @@ from enum import Enum
 
 import numpy as np
 
-from ._serial import dumps
 from .mesh import DiscreteSpace
 
 
@@ -298,9 +297,6 @@ class InvarianceReport:
             "passed": self.passed, "inequality_ok": self.inequality_ok,
             "witness_distance": self.witness_distance,
         }
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
 
 
 def _selection_images(prob, u: np.ndarray, rng: np.random.Generator | None,

@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._serial import dumps
 from .cones import ConeNeighborhood, project_cone
 from .mesh import DiscreteSpace, MeshError
 from .potential import PiecewisePotential
@@ -131,9 +130,6 @@ class SlopeResult:
                 "certificate_dual_norm": self.value,
                 "riesz_sup_norm": float(np.max(np.abs(self.riesz)))}
 
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
-
 
 def _box_dual_qp(space: DiscreteSpace, box: SubdifferentialBox, shift: np.ndarray,
                  w0: np.ndarray | None, tol: float, max_iter: int,
@@ -204,9 +200,6 @@ class SetSlopeResult:
     def to_dict(self) -> dict:
         return {"value": self.value, "gap": self.gap, "converged": self.converged,
                 "iterations": self.iterations}
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
 
 
 def _set_signs(region: SetSpec) -> tuple[ConeNeighborhood, ...]:
@@ -359,9 +352,6 @@ class PSReport:
                 "cauchy_increment": self.cauchy_increment, "cauchy_ok": self.cauchy_ok,
                 "passed": self.passed, "energy_limit": self.energy_limit,
                 "slope_limit": self.slope_limit, "norm_limit": self.norm_limit}
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
 
 
 def ps_monitor(space: DiscreteSpace, history, window: int = 10,

@@ -1,11 +1,11 @@
-"""Descending flow du/dt = -rho(J(u)) psi(u) v(u).
+"""Descending flow du/dt = -rho(J(u)) v(u).
 
 v is the normalized minimal-norm Riesz descent field scaled by (1 + ||u||);
-rho is a piecewise-linear band cutoff on the energy value, psi an excision
-cutoff around detected critical points.  Integration is explicit Euler with an
-Armijo-style acceptance enforcing a guaranteed energy decrease per step, and a
-step cap dt <= 1/(1+||u||) inside cone neighborhoods so each accepted step is a
-convex combination of u and the invariance displacement u - v(u)/(1+||u||).
+rho is a piecewise-linear band cutoff on the energy value.  Integration is
+explicit Euler with an Armijo-style acceptance enforcing a guaranteed energy
+decrease per step, and a step cap dt <= 1/(1+||u||) inside cone neighborhoods
+so each accepted step is a convex combination of u and the invariance
+displacement u - v(u)/(1+||u||).
 
 The product A u is formed once per field: for the initial state in
 ``_make_state``, and for each Armijo trial in ``integrate_flow``.  The trial's
@@ -56,8 +56,6 @@ class FlowConfig:
     level_r: float | None = field(default=None, metadata=INTERNAL)  # None = solver mode
     eps: float = field(default=0.05, metadata=INTERNAL)
     eps_bar: float = field(default=0.15, metadata=INTERNAL)
-    excision_delta: float = field(default=0.0, metadata=INTERNAL)
-    excised_points: tuple = field(default=(), metadata=INTERNAL)
     dt0: float = 0.05
     dt_min: float = 1e-12
     dt_max: float = 0.5
@@ -74,8 +72,6 @@ class FlowConfig:
             raise ValueError("need dt_min <= dt0 <= dt_max")
         if self.tol_m <= 0:
             raise ValueError("tol_m must be positive")
-        if self.excised_points and self.excision_delta <= 0:
-            raise ValueError("excised points require a positive excision radius")
 
 
 @dataclass
@@ -135,7 +131,6 @@ class FlowState:
 class Trajectory:
     states: list[FlowState]
     termination: Termination
-    invariance_log: list[dict] = field(default_factory=list)
 
     @property
     def final(self) -> FlowState:
@@ -162,18 +157,6 @@ def cutoff_rho(config: FlowConfig, j_value: float) -> float:
     if z >= config.eps_bar:
         return 0.0
     return (config.eps_bar - z) / (config.eps_bar - config.eps)
-
-
-def cutoff_psi(config: FlowConfig, space: DiscreteSpace, u: np.ndarray) -> float:
-    """Excision cutoff: 0 within delta of an excised point, 1 beyond 2*delta."""
-    if not config.excised_points:
-        return 1.0
-    d = min(space.h1_norm(u - np.asarray(p)) for p in config.excised_points)
-    if d <= config.excision_delta:
-        return 0.0
-    if d >= 2.0 * config.excision_delta:
-        return 1.0
-    return (d - config.excision_delta) / config.excision_delta
 
 
 def pseudo_gradient(prob: EnergyProblem, u: np.ndarray,
@@ -214,8 +197,8 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
                    _resume: tuple[list[FlowState], float, bytes] | None = None) -> Trajectory:
     """Energy-monotone explicit Euler integration of the descending flow.
 
-    A step from u with field V = rho*psi*v(u) is accepted only if the energy
-    drops by at least ARMIJO_C1 * dt * rho*psi * m(u)^2/(1+||u||); dt halves on
+    A step from u with field V = rho*v(u) is accepted only if the energy
+    drops by at least ARMIJO_C1 * dt * rho * m(u)^2/(1+||u||); dt halves on
     rejection and grows 1.5x on acceptance within [dt_min, cap].
     """
     space = prob.space
@@ -228,7 +211,6 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
             with open(checkpoint_path, "wb") as fh:
                 fh.write(committed)
             saved = len(states)
-        log: list[dict] = []
         # refresh warm caches at the resumed head
         head = states[-1]
         head.norm = _make_state(prob, head.u, head.t, head.dt_used, config.mu0,
@@ -237,7 +219,6 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
         u0 = space.check_field(u0)
         states = [_make_state(prob, u0, 0.0, 0.0, config.mu0, warm)]
         dt = config.dt0
-        log = []
 
     termination = None
     while True:
@@ -255,7 +236,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
         if config.j_floor is not None and s.j < config.j_floor:
             termination = Termination.ENERGY_FLOOR
             break
-        cut = cutoff_rho(config, s.j) * cutoff_psi(config, space, s.u)
+        cut = cutoff_rho(config, s.j)
         if cut <= 1e-14:
             termination = Termination.FIELD_VANISHED
             break
@@ -288,14 +269,6 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
 
         new = _make_state(prob, trial, s.t + dt, dt, config.mu0, warm, j_trial, a_trial)
         states.append(new)
-        if new.label != s.label:
-            log.append({"step": len(states) - 1, "event": "region_change",
-                        "from": s.label.value, "to": new.label.value})
-        if config.excised_points:
-            d = min(space.h1_norm(new.u - np.asarray(p)) for p in config.excised_points)
-            if d <= config.excision_delta:
-                log.append({"step": len(states) - 1, "event": "excised_ball",
-                            "distance": float(d)})
         dt = min(dt * 1.5, config.dt_max)
         if (checkpoint_path and config.checkpoint_every
                 and (len(states) - 1) % config.checkpoint_every == 0):
@@ -304,7 +277,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
 
     if checkpoint_path and config.checkpoint_every and saved < len(states):
         save_checkpoint(checkpoint_path, states, dt, saved)
-    return Trajectory(states, termination, log)
+    return Trajectory(states, termination)
 
 
 # -- invariance monitoring ------------------------------------------------------
@@ -315,27 +288,22 @@ class InvarianceVerdict:
     cone_invariant: bool
     energy_monotone: bool
     gronwall_ok: bool
-    excision_logged: bool
     violations: list[dict] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return (self.cone_invariant and self.energy_monotone
-                and self.gronwall_ok and self.excision_logged)
+        return self.cone_invariant and self.energy_monotone and self.gronwall_ok
 
     def to_dict(self) -> dict:
         return {"cone_invariant": self.cone_invariant,
                 "energy_monotone": self.energy_monotone,
                 "gronwall_ok": self.gronwall_ok,
-                "excision_logged": self.excision_logged,
                 "passed": self.passed, "violations": self.violations}
 
 
-def monitor_invariance(space: DiscreteSpace, traj: Trajectory, mu0: float,
-                       config: FlowConfig | None = None,
+def monitor_invariance(space: DiscreteSpace, traj: Trajectory, mu0: float, *,
                        cone_tol: float = 1e-7) -> InvarianceVerdict:
-    """Check cone invariance, energy monotonicity, the Gronwall norm bound, and
-    that every excised-ball visit appears in the trajectory log."""
+    """Check cone invariance, energy monotonicity and the Gronwall norm bound."""
     if not traj.states:
         raise ValueError("empty trajectory")
     violations: list[dict] = []
@@ -368,16 +336,7 @@ def monitor_invariance(space: DiscreteSpace, traj: Trajectory, mu0: float,
             gronwall_ok = False
             violations.append({"index": i, "kind": "gronwall", "t": s.t})
 
-    excision_ok = True
-    if config is not None and config.excised_points:
-        logged = {e["step"] for e in traj.invariance_log if e["event"] == "excised_ball"}
-        for i, s in enumerate(traj.states[1:], start=1):
-            d = min(space.h1_norm(s.u - np.asarray(p)) for p in config.excised_points)
-            if d <= config.excision_delta and i not in logged:
-                excision_ok = False
-                violations.append({"index": i, "kind": "unlogged_excision_visit"})
-
-    return InvarianceVerdict(cone_ok, energy_ok, gronwall_ok, excision_ok, violations)
+    return InvarianceVerdict(cone_ok, energy_ok, gronwall_ok, violations)
 
 
 # -- checkpointing ---------------------------------------------------------------

@@ -24,7 +24,6 @@ import numpy as np
 from scipy.sparse import diags as sp_diags
 from scipy.sparse.linalg import splu
 
-from ._serial import dumps
 from .cones import RegionLabel, min_dist_to_cones, region_of
 from .energy import EnergyProblem, energies, slope
 from .flow import (ENERGY_SLACK, INTERNAL, FlowConfig, Termination, _make_state,
@@ -326,9 +325,6 @@ class MinimaxReport:
             "q_interpretation": "span construction: first eigen-plane half disk",
         }
 
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
-
 
 def _classify_descent(prob: EnergyProblem, u0: np.ndarray, cfg: MinimaxConfig,
                       mu0: float, floor_j: float, dip_floor: float = -np.inf):
@@ -342,7 +338,7 @@ def _classify_descent(prob: EnergyProblem, u0: np.ndarray, cfg: MinimaxConfig,
     sign-changing critical point at the linking level; the floor screens out
     approaches to low-energy attractors).
     """
-    base = replace(cfg.flow, mu0=mu0, level_r=None, excised_points=(),
+    base = replace(cfg.flow, mu0=mu0, level_r=None,
                    t_max=cfg.classify_t_chunk, j_floor=floor_j,
                    max_steps=min(cfg.flow.max_steps, 6000))
     u = u0

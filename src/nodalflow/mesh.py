@@ -148,14 +148,6 @@ class DiscreteSpace:
         u, v = self.check_field(u), self.check_field(v)
         return float(u @ (self.M_diag * v))
 
-    def lp_norm(self, u: np.ndarray, p: float) -> float:
-        u = self.check_field(u)
-        if p == np.inf:
-            return float(np.max(np.abs(u))) if self.dim else 0.0
-        if p < 1:
-            raise MeshError(f"lp_norm needs p >= 1 or p = inf, got {p}")
-        return float(np.sum(self.M_diag * np.abs(u) ** p) ** (1.0 / p))
-
     def dual_norm(self, g: np.ndarray) -> float:
         """Riesz dual norm sqrt(g' A^-1 g) of a functional in coordinates."""
         g = self.check_field(g)

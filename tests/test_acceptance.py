@@ -302,7 +302,7 @@ def test_acceptance_7_nonsmooth_solve(solve_runs, rng):
             p = np.abs(rng.normal(size=127))
             p *= rng.uniform(0.3, 2.0) / space.h1_norm(p)
             traj = nf.integrate_flow(prob, sign * p, cfg)
-            verdict = nf.monitor_invariance(space, traj, mu0, cfg)
+            verdict = nf.monitor_invariance(space, traj, mu0)
             assert verdict.passed, verdict.violations
     _report(7, "nonsmooth solve",
             f"two-slope converged, slope {rep['candidate_slope']:.2e}, monitors clean")

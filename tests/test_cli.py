@@ -336,6 +336,16 @@ def test_flow_and_resume_bytes(tmp_path):
         assert a.summary() == b.summary() and a.u.tobytes() == b.u.tobytes()
 
 
+def test_flow_verdict_keys(tmp_path):
+    path, _ = small_config(tmp_path, mu0=0.3, flow={"t_max": 2.0})
+    out = tmp_path / "flow"
+    assert main(["flow", "--config", path, "--start", "1.5*phi1", "--out", str(out)]) == 0
+    verdict = json.loads((out / "flow_verdict.json").read_text())
+    assert set(verdict) == {"cone_invariant", "energy_monotone", "gronwall_ok", "passed",
+                            "violations", "termination", "config_hash"}
+    assert verdict["passed"] and verdict["violations"] == []
+
+
 def _bad_checkpoint(tmp_path, case):
     """A missing file, rows with no commit, a 63-node field for a 15-node grid,
     or a 15-node field written as a decimal list or as text that is not base64."""

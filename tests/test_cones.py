@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import nodalflow as nf
 from nodalflow import cones
+from nodalflow._serial import dumps
 from nodalflow.cones import _active_set
 from nodalflow.config import parse_potential
 from oracles import enum_project_cone
@@ -149,7 +150,7 @@ def test_schauder_benchmark_passes(quartic_63, rng):
         assert rep.passed
         assert rep.worst_ratio <= 0.5 + 1e-6
         assert rep.inequality_ok
-    text = rep_p.to_json()
+    text = dumps(rep_p.to_dict())
     assert '"worst_ratio"' in text
 
 
@@ -292,7 +293,7 @@ def _checker_run(prob, seed, mu0_probe):
     """fit_mu0, check_schauder at the fitted and at a given mu0, and
     build_frame, from fixed streams."""
     mu0 = nf.fit_mu0(prob, np.random.default_rng(seed), sample_count=24)
-    reports = [rep.to_json() for m in (mu0, mu0_probe)
+    reports = [dumps(rep.to_dict()) for m in (mu0, mu0_probe)
                for rep in nf.check_schauder(prob, m, 12, np.random.default_rng(seed + 1))]
     try:
         frame = nf.build_frame(prob, mu0, nf.ScanConfig(), np.random.default_rng(seed + 2))
@@ -367,7 +368,7 @@ def test_checker_decides_each_comparison_as_a_projection_would(seed, sign, mu0):
                        lambda prob, sign, distances, *args: samples[len(distances) == 1])
             mp.setattr(cones, "_selection_images", lambda prob, u, rng: images[u.tobytes()])
             return (cones._fit_constant(prob, sign, 1, rng),
-                    [rep.to_json() for rep in nf.check_schauder(prob, mu0, 1, rng)])
+                    [dumps(rep.to_dict()) for rep in nf.check_schauder(prob, mu0, 1, rng)])
 
     screened = run()
     with pytest.MonkeyPatch.context() as mp:

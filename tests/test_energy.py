@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodalflow as nf
+from nodalflow._serial import dumps
 from nodalflow.mesh import MeshError
 from oracles import box_grid_slope, enum_dist_batch, saddle_set_slope
 
@@ -226,7 +227,7 @@ def test_ps_monitor_converged_flow_tail(quartic_63):
 
 def test_slope_result_serializes(quartic_63, rng):
     res = nf.slope(quartic_63, rng.normal(size=63))
-    text = res.to_json()
+    text = dumps(res.to_dict())
     assert '"value"' in text and '"iterations"' in text
 
 

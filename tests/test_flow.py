@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 import nodalflow as nf
 from nodalflow import cones, flow
-from nodalflow.flow import (ARMIJO_C1, cutoff_psi, cutoff_rho, load_checkpoint,
-                            save_checkpoint)
+from nodalflow.flow import ARMIJO_C1, cutoff_rho, load_checkpoint, save_checkpoint
 from oracles import newton_discrete
 
 
@@ -31,20 +30,6 @@ def test_cutoff_rho_band():
     assert cutoff_rho(cfg, 2.5) == 0.0
     assert cutoff_rho(cfg, 2.2) == pytest.approx(0.5)
     assert cutoff_rho(nf.FlowConfig(), 123.0) == 1.0  # solver mode
-
-
-def test_cutoff_psi_ramp(space_63):
-    phi1 = space_63.eigenpairs(1)[0][1]
-    center = 2.0 * phi1
-    delta = 0.5
-    cfg = nf.FlowConfig(excision_delta=delta, excised_points=(center,))
-    # a point at distance 1.5*delta from the single excised point
-    direction = phi1 / space_63.h1_norm(phi1)
-    u = center + 1.5 * delta * direction
-    assert cutoff_psi(cfg, space_63, u) == pytest.approx(0.5, abs=1e-12)
-    assert cutoff_psi(cfg, space_63, center) == 0.0
-    assert cutoff_psi(cfg, space_63, center + 3 * delta * direction) == 1.0
-    assert cutoff_psi(nf.FlowConfig(), space_63, u) == 1.0
 
 
 def test_flow_config_validation():
@@ -85,7 +70,7 @@ def test_flow_from_critical_point(quartic_63, space_63):
     assert len(traj.states) == 1
     assert traj.termination is nf.Termination.SLOPE_BELOW_TOL
     # a constant critical trajectory is trivially invariant
-    assert nf.monitor_invariance(space_63, traj, 0.3, cfg).passed
+    assert nf.monitor_invariance(space_63, traj, 0.3).passed
 
 
 def test_flow_descent_inequality(quartic_63, rng):
@@ -125,7 +110,7 @@ def test_flow_cone_invariance(quartic_63, rng):
             if nf.project_cone(space, u0, sign).distance > mu0:
                 continue
             traj = nf.integrate_flow(quartic_63, u0, cfg)
-            verdict = nf.monitor_invariance(space, traj, mu0, cfg)
+            verdict = nf.monitor_invariance(space, traj, mu0)
             assert verdict.cone_invariant, verdict.violations
             assert verdict.energy_monotone and verdict.gronwall_ok
 
@@ -200,7 +185,7 @@ def test_flow_states_carry_their_h1_norm(quartic_63, tmp_path, monkeypatch):
     from nodalflow.linking import MinimaxConfig, _classify_descent
     norms = []
     monkeypatch.setattr(space, "h1_norm", lambda u: norms.append(1) or 0.0)
-    assert nf.monitor_invariance(space, traj, 0.3, cfg).gronwall_ok
+    assert nf.monitor_invariance(space, traj, 0.3).gronwall_ok
     _classify_descent(quartic_63, 4.0 * space.eigenpairs(2)[1][1], MinimaxConfig(),
                       0.3, -1e5, dip_floor=1.0)
     assert not norms
@@ -212,10 +197,20 @@ def test_monitor_flags_tampered_energy(quartic_63):
     traj = nf.integrate_flow(quartic_63, u0, cfg)
     bad = copy.deepcopy(traj)
     bad.states[3].j = bad.states[2].j + 5.0
-    verdict = nf.monitor_invariance(quartic_63.space, bad, 0.3, cfg)
+    verdict = nf.monitor_invariance(quartic_63.space, bad, 0.3)
     assert not verdict.energy_monotone
     kinds = {(v["index"], v["kind"]) for v in verdict.violations}
     assert (4, "energy_increase") in kinds or (3, "energy_increase") in kinds
+
+
+def test_monitor_cone_tol_is_keyword_only(quartic_63):
+    # a FlowConfig passed 4th must not bind to cone_tol, where a sign-changing
+    # start would never read it and the check would pass silently
+    cfg = nf.FlowConfig(mu0=0.3)
+    traj = nf.integrate_flow(quartic_63, quartic_63.space.zero_field(), cfg)
+    with pytest.raises(TypeError):
+        nf.monitor_invariance(quartic_63.space, traj, 0.3, cfg)
+    assert nf.monitor_invariance(quartic_63.space, traj, 0.3, cone_tol=0.0).passed
 
 
 def test_flow_against_newton_oracle(quartic_63):
@@ -453,23 +448,12 @@ def test_flow_on_2d_rectangle():
     cfg = nf.FlowConfig(mu0=0.3, tol_m=1e-6, t_max=30.0)
     traj = nf.integrate_flow(prob, 0.8 * phi1, cfg)
     assert traj.termination is nf.Termination.SLOPE_BELOW_TOL
-    assert nf.monitor_invariance(space, traj, 0.3, cfg).passed
-
-
-def test_excision_freezes_critical_neighborhood(quartic_63, space_63):
-    # a start inside the excised ball cannot move: the field vanishes there
-    phi2 = space_63.eigenpairs(2)[1][1]
-    center = 2.0 * phi2
-    cfg = nf.FlowConfig(mu0=0.3, excision_delta=0.6, excised_points=(center,),
-                        t_max=5.0)
-    traj = nf.integrate_flow(quartic_63, center, cfg)
-    assert traj.termination is nf.Termination.FIELD_VANISHED
-    assert len(traj.states) == 1
+    assert nf.monitor_invariance(space, traj, 0.3).passed
 
 
 def test_deformation_shadow(quartic_63):
     """Within the level band around the nodal critical value, banded flows
-    started away from the excised critical set land below the band or inside a
+    started away from the critical pair +-u* land below the band or inside a
     cone neighborhood within the horizon 16*eps/b_hat."""
     from nodalflow.linking import _classify_descent, _bisect_separatrix, MinimaxConfig
     space = quartic_63.space
@@ -486,7 +470,7 @@ def test_deformation_shadow(quartic_63):
     eps = 0.5
     delta = 0.5
 
-    # in-band starts on both flanks of the ridge, clear of the excised balls
+    # in-band starts on both flanks of the ridge, clear of +-u*
     starts = []
     for c2 in np.linspace(4.4, 6.0, 120):
         for c1 in (0.0, 0.4, -0.4):
@@ -501,8 +485,6 @@ def test_deformation_shadow(quartic_63):
     starts = starts[:8]
 
     cfg = nf.FlowConfig(mu0=mu0, level_r=r, eps=eps, eps_bar=2 * eps,
-                        excision_delta=delta,
-                        excised_points=(crit.u, -crit.u),
                         t_max=25.0, tol_m=1e-8, max_steps=40000)
     floors, trajs = [], []
     for u in starts:

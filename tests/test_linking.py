@@ -3,6 +3,7 @@ import pytest
 
 import nodalflow as nf
 from nodalflow import linking
+from nodalflow._serial import dumps
 from nodalflow.linking import (EXTRACTION_COUNTS, GapViolation, MinimaxConfig,
                                NoLinkingWindow, SurfaceMesh, _bisect_separatrix,
                                _classify_descent, _newton_polish)
@@ -118,7 +119,7 @@ def test_minimax_report_invariants(quartic_63, minimax_63):
     d_plus, d_minus = nf.dist_to_cones(space, rep.candidate)
     assert d_plus > 0.45 and d_minus > 0.45
     assert np.any(rep.candidate > 0) and np.any(rep.candidate < 0)
-    text = rep.to_json()
+    text = dumps(rep.to_dict())
     assert '"r_final"' in text
 
 
