@@ -8,9 +8,8 @@ from .config import ConfigError, RunConfig, config_hash, load_config
 from .energy import (EnergyProblem, PSReport, SetSlopeResult, SlopeResult,
                      SubdifferentialBox, energies, energy, ps_monitor, slope,
                      slope_on_set, stationarity_residual, subdifferential_box)
-from .flow import (FlowConfig, FlowState, Termination, Trajectory, cutoff_rho,
-                   integrate_flow, monitor_invariance, pseudo_gradient,
-                   resume_flow)
+from .flow import (FlowConfig, FlowState, Termination, Trajectory, integrate_flow,
+                   monitor_invariance, pseudo_gradient, resume_flow)
 from .linking import (GapViolation, LinkingFrame, MinimaxConfig, MinimaxReport,
                       NoLinkingWindow, NotConverged, ScanConfig, SurfaceMesh,
                       build_frame, deform_surface, estimate_alpha_beta,

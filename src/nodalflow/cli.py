@@ -23,12 +23,11 @@ import numpy as np
 from ._serial import dumps
 from .cones import ConeNeighborhood, ProjectionError, check_schauder, fit_mu0
 from .config import ConfigError, RunConfig, load_config
-from .energy import (EnergyProblem, SlopeError, energy, ps_monitor, slope,
-                     slope_on_set)
+from .energy import EnergyProblem, SlopeError, ps_monitor, slope, slope_on_set
 from .flow import (Checkpoint, Termination, integrate_flow, load_checkpoint,
                    monitor_invariance, resume_flow)
-from .linking import (GapViolation, InvarianceViolation, NoLinkingWindow,
-                      NotConverged, build_frame, minimax_iterate)
+from .linking import (GapViolation, NoLinkingWindow, NotConverged, build_frame,
+                      minimax_iterate)
 from .mesh import MeshError, build_space, field_from_csv, field_to_csv
 from .potential import SamplePlan, check_hypotheses
 
@@ -230,12 +229,10 @@ def _solve(cfg: RunConfig, run: _Run) -> int:
     try:
         minimax = replace(cfg.minimax, flow=replace(cfg.flow, mu0=mu0))
         report = minimax_iterate(prob, frame, minimax, rngs[3], snapshot=snapshot)
-    except (GapViolation, NotConverged, InvarianceViolation) as exc:
+    except (GapViolation, NotConverged) as exc:
         run.write_json("minimax_report.json", {"error": str(exc)})
         run.log(f"stage minimax: {exc}")
-        if isinstance(exc, GapViolation):
-            return EXIT_NO_LINKING
-        return EXIT_NOT_CONVERGED if isinstance(exc, NotConverged) else EXIT_INVARIANCE
+        return EXIT_NO_LINKING if isinstance(exc, GapViolation) else EXIT_NOT_CONVERGED
 
     run.write_json("minimax_report.json", report.to_dict())
     ext = report.extraction
@@ -246,7 +243,7 @@ def _solve(cfg: RunConfig, run: _Run) -> int:
         run.write_text("solution.csv",
                        field_to_csv(space, report.candidate,
                                     (f"config_hash={cfg.hash}",
-                                     f"energy={energy(prob, report.candidate)!r}",
+                                     f"energy={report.candidate_energy!r}",
                                      f"slope={report.candidate_slope!r}")))
     if not report.converged:
         run.log("stage minimax: not converged")
@@ -277,7 +274,7 @@ def cmd_flow(cfg: RunConfig, run: _Run, start: str, resume: str | None) -> int:
                                 (f"config_hash={cfg.hash}",
                                  f"termination={traj.termination.value}")))
     run.stage = "verdict"
-    verdict = monitor_invariance(space, traj, mu0)
+    verdict = monitor_invariance(traj, mu0)
     run.write_json("flow_verdict.json",
                    dict(verdict.to_dict(), termination=traj.termination.value))
     run.log(f"flow finished: {traj.termination.value}, {len(traj.states)} states")

@@ -1,11 +1,12 @@
-"""Descending flow du/dt = -rho(J(u)) v(u).
+"""Descending flow du/dt = -v(u).
 
-v is the normalized minimal-norm Riesz descent field scaled by (1 + ||u||);
-rho is a piecewise-linear band cutoff on the energy value.  Integration is
-explicit Euler with an Armijo-style acceptance enforcing a guaranteed energy
-decrease per step, and a step cap dt <= 1/(1+||u||) inside cone neighborhoods
-so each accepted step is a convex combination of u and the invariance
-displacement u - v(u)/(1+||u||).
+v is the normalized minimal-norm Riesz descent field scaled by (1 + ||u||).
+The paper's band cutoff rho and excision cutoff psi are not used: the identity
+is the minimax's only deformation, so every flow is the plain descent.
+Integration is explicit Euler with an Armijo-style acceptance enforcing a
+guaranteed energy decrease per step, and a step cap dt <= 1/(1+||u||) inside
+cone neighborhoods so each accepted step is a convex combination of u and the
+invariance displacement u - v(u)/(1+||u||).
 
 The product A u is formed once per field: for the initial state in
 ``_make_state``, and for each Armijo trial in ``integrate_flow``.  The trial's
@@ -45,7 +46,6 @@ class Termination(str, Enum):
     SLOPE_BELOW_TOL = "slope_below_tol"
     MAX_TIME = "max_time"
     MAX_STEPS = "max_steps"
-    FIELD_VANISHED = "field_vanished"
     STEP_FAILURE = "step_failure"
     ENERGY_FLOOR = "energy_floor"     # optional early exit for basin classification
 
@@ -53,9 +53,6 @@ class Termination(str, Enum):
 @dataclass(frozen=True)
 class FlowConfig:
     mu0: float = field(default=0.25, metadata=INTERNAL)
-    level_r: float | None = field(default=None, metadata=INTERNAL)  # None = solver mode
-    eps: float = field(default=0.05, metadata=INTERNAL)
-    eps_bar: float = field(default=0.15, metadata=INTERNAL)
     dt0: float = 0.05
     dt_min: float = 1e-12
     dt_max: float = 0.5
@@ -66,8 +63,6 @@ class FlowConfig:
     checkpoint_every: int | None = None
 
     def __post_init__(self):
-        if not 0 < self.eps < self.eps_bar:
-            raise ValueError("band widths must satisfy 0 < eps < eps_bar")
         if not self.dt_min <= self.dt0 <= self.dt_max:
             raise ValueError("need dt_min <= dt0 <= dt_max")
         if self.tol_m <= 0:
@@ -147,18 +142,6 @@ class Trajectory:
         return buf.getvalue()
 
 
-def cutoff_rho(config: FlowConfig, j_value: float) -> float:
-    """Band cutoff on the energy value; identically 1 in solver mode."""
-    if config.level_r is None:
-        return 1.0
-    z = abs(j_value - config.level_r)
-    if z <= config.eps:
-        return 1.0
-    if z >= config.eps_bar:
-        return 0.0
-    return (config.eps_bar - z) / (config.eps_bar - config.eps)
-
-
 def pseudo_gradient(prob: EnergyProblem, u: np.ndarray,
                     slope_result: SlopeResult | None = None,
                     norm_u: float | None = None) -> np.ndarray:
@@ -197,9 +180,9 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
                    _resume: tuple[list[FlowState], float, bytes] | None = None) -> Trajectory:
     """Energy-monotone explicit Euler integration of the descending flow.
 
-    A step from u with field V = rho*v(u) is accepted only if the energy
-    drops by at least ARMIJO_C1 * dt * rho * m(u)^2/(1+||u||); dt halves on
-    rejection and grows 1.5x on acceptance within [dt_min, cap].
+    A step from u with field v(u) is accepted only if the energy drops by at
+    least ARMIJO_C1 * dt * m(u)^2/(1+||u||); dt halves on rejection and grows
+    1.5x on acceptance within [dt_min, cap].
     """
     space = prob.space
     warm: dict = {}
@@ -236,14 +219,9 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
         if config.j_floor is not None and s.j < config.j_floor:
             termination = Termination.ENERGY_FLOOR
             break
-        cut = cutoff_rho(config, s.j)
-        if cut <= 1e-14:
-            termination = Termination.FIELD_VANISHED
-            break
         v = pseudo_gradient(prob, s.u, warm["slope"], norm_u)   # warm describes s
-        big_v = cut * v
 
-        # ||V|| <= (1+||u||), so the displacement cap bounds each step's arc
+        # ||v|| <= (1+||u||), so the displacement cap bounds each step's arc
         # length; trajectories then track the flow through saddle regions
         cap = min(config.dt_max, DISP_CAP / (1.0 + norm_u))
         if s.label is not RegionLabel.SIGN_CHANGING:
@@ -254,10 +232,10 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
 
         accepted = False
         while dt >= config.dt_min:
-            trial = s.u - dt * big_v
+            trial = s.u - dt * v
             a_trial = space.A @ trial
             j_trial = energy(prob, trial, a_trial)
-            required = ARMIJO_C1 * dt * cut * s.m**2 / (1.0 + norm_u)
+            required = ARMIJO_C1 * dt * s.m**2 / (1.0 + norm_u)
             slack = ENERGY_SLACK * (1.0 + abs(s.j))
             if j_trial <= s.j and (s.j - j_trial) >= required - slack:
                 accepted = True
@@ -301,7 +279,7 @@ class InvarianceVerdict:
                 "passed": self.passed, "violations": self.violations}
 
 
-def monitor_invariance(space: DiscreteSpace, traj: Trajectory, mu0: float, *,
+def monitor_invariance(traj: Trajectory, mu0: float, *,
                        cone_tol: float = 1e-7) -> InvarianceVerdict:
     """Check cone invariance, energy monotonicity and the Gronwall norm bound."""
     if not traj.states:

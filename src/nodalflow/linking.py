@@ -1,4 +1,4 @@
-"""Linking construction and deformation minimax.
+"""Linking construction and one-labelling minimax.
 
 Q is the eigen-plane half disk {rho * R (cos(th) phi1^ + sin(th) phi2^)} with
 phi_k^ the energy-normalized eigenfields; T is a sphere of radius delta_T in
@@ -6,14 +6,15 @@ the mass-orthogonal complement of phi1.  The half-disk radius R is scanned so
 the energy is negative on the whole radius-R arc, delta_T so the energy is
 positive on T while T stays clear of both cone neighborhoods.
 
-The inf over deformations is realized by repeatedly flowing the embedded
-surface for a finite horizon and tracking the sup of J over sign-changing
-surface points; the critical candidate is extracted from the stalled maximizer
-by bisecting across the descent separatrix.  Each round's closest approach to
-a critical point that improves on the best so far goes to a Newton corrector,
-and bisection stops at the first corrected point that is sign-changing with
-energy between beta and that of the approach (or at a trajectory that parks
-at slope tolerance in the sign-changing region).
+The identity is an admissible deformation, so the sup of J over the
+sign-changing points of the undeformed surface bounds the linking level from
+above; the surface is labelled and scored once, and no deformation follows.
+The critical candidate is extracted from the maximizer by bisecting across the
+descent separatrix.  Each round's closest approach to a critical point that
+improves on the best so far goes to a Newton corrector, and bisection stops at
+the first corrected point that is sign-changing with energy between beta and
+that of the approach (or at a trajectory that parks at slope tolerance in the
+sign-changing region).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .flow import (ENERGY_SLACK, INTERNAL, FlowConfig, Termination, _make_state,
 from .mesh import DiscreteSpace
 
 T_MODES = 8          # T directions are drawn from the first T_MODES eigenfields past phi1
-SWEEP_TOL_M = 1e-3   # loose slope parking during sweeps
 # what the separatrix extraction counts: bisection rounds, Newton attempts,
 # and corrected points rejected by region label and by energy window
 EXTRACTION_COUNTS = ("rounds", "newton", "off_label", "off_window")
@@ -249,7 +249,10 @@ class SurfaceMesh:
 def deform_surface(prob: EnergyProblem, mesh: SurfaceMesh,
                    flow_cfg: FlowConfig) -> SurfaceMesh:
     """One deformation sweep: flow every non-frozen image for the configured
-    horizon; frozen points are untouched, W-boundary points are re-verified."""
+    horizon; frozen points are untouched, W-boundary points are re-verified.
+
+    No command calls it; it goes together with the benchmark tracer's entry
+    for it (ROADMAP item 4)."""
     new_images = mesh.images.copy()
     violations = []
     nr, nt = mesh.frozen.shape
@@ -273,11 +276,6 @@ def deform_surface(prob: EnergyProblem, mesh: SurfaceMesh,
 class MinimaxConfig:
     nr: int = 7
     nt: int = 25
-    max_sweeps: int = 3
-    stall_window: int = 3
-    stall_rel: float = 2e-3
-    band_frac: float = 0.02
-    horizon_cap: float = 2.0
     retry_budget: int = 4
     bisect_rounds: int = 40
     classify_t_chunk: float = 2.0
@@ -285,13 +283,13 @@ class MinimaxConfig:
     mesh_tol: float = 1e-2
     flow: FlowConfig = field(default_factory=FlowConfig, metadata=INTERNAL)
 
-    def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
-
 
 @dataclass
 class MinimaxReport:
+    """``r_estimates`` holds the one sup of J over the sign-changing points of
+    the identity surface, an upper bound on the linking level up to the mesh's
+    J-resolution; ``level_bracket`` is [beta, that sup + the resolution]."""
+
     alpha: float
     beta: float
     r_estimates: list[float]
@@ -300,10 +298,10 @@ class MinimaxReport:
     candidate: np.ndarray | None
     candidate_slope: float
     label: RegionLabel | None
-    iterations: int
     converged: bool
     wrong_region_events: int = 0
     mesh_tolerance: float = 0.0   # J-resolution of the surface mesh at the maximizer
+    candidate_energy: float | None = None   # J(candidate); not part of to_dict
     # EXTRACTION_COUNTS of all bisections; for the log, not part of to_dict
     extraction: dict = field(default_factory=dict)
 
@@ -311,15 +309,29 @@ class MinimaxReport:
     def r_final(self) -> float:
         return self.r_estimates[-1]
 
+    @property
+    def level_bracket(self) -> tuple[float, float]:
+        return self.beta, self.r_final + self.mesh_tolerance
+
+    @property
+    def level_consistent(self) -> bool:
+        """beta <= J(candidate) <= r_final + mesh_tolerance; False without a
+        candidate."""
+        low, high = self.level_bracket
+        j = self.candidate_energy
+        return j is not None and bool(low <= j <= high)
+
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha, "beta": self.beta,
             "r_estimates": [float(r) for r in self.r_estimates],
             "r_final": self.r_final,
+            "level_bracket": list(self.level_bracket),
+            "level_consistent": self.level_consistent,
             "maximizer_param": list(self.maximizer_param),
             "candidate_slope": self.candidate_slope,
             "label": None if self.label is None else self.label.value,
-            "iterations": self.iterations, "converged": self.converged,
+            "converged": self.converged,
             "wrong_region_events": self.wrong_region_events,
             "mesh_tolerance": self.mesh_tolerance,
             "q_interpretation": "span construction: first eigen-plane half disk",
@@ -338,8 +350,7 @@ def _classify_descent(prob: EnergyProblem, u0: np.ndarray, cfg: MinimaxConfig,
     sign-changing critical point at the linking level; the floor screens out
     approaches to low-energy attractors).
     """
-    base = replace(cfg.flow, mu0=mu0, level_r=None,
-                   t_max=cfg.classify_t_chunk, j_floor=floor_j,
+    base = replace(cfg.flow, mu0=mu0, t_max=cfg.classify_t_chunk, j_floor=floor_j,
                    max_steps=min(cfg.flow.max_steps, 6000))
     u = u0
     dip = None
@@ -461,11 +472,12 @@ def _bisect_separatrix(prob, a, b, class_a, class_b, cfg, mu0, floor_j,
 
 def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig,
                     rng: np.random.Generator, snapshot=None) -> MinimaxReport:
-    """Deformation minimax of Theorem-style linking: sweep, track the sup of J
-    over sign-changing surface points, then extract the critical candidate.
+    """Minimax over the identity surface: label and score it once, take the
+    sup of J over its sign-changing points, then extract the critical
+    candidate from the maximizer.
 
-    ``snapshot(iteration, mesh)``, when given, is called once per sweep with
-    the current surface (plot-ready via ``SurfaceMesh.to_csv``).
+    ``snapshot(0, mesh)``, when given, is called once with the surface
+    (plot-ready via ``SurfaceMesh.to_csv``).
     """
     space = prob.space
     alpha, beta = estimate_alpha_beta(prob, frame, rng)
@@ -473,47 +485,20 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
     mu0 = frame.mu0
     floor_j = alpha - 10.0 * (1.0 + abs(alpha))
 
-    r_estimates: list[float] = []
-    maximizer_idx = (0, 0)
-    for sweep in range(cfg.max_sweeps):
-        if snapshot is not None:
-            snapshot(sweep, mesh)
-        labels = mesh.labels(prob, mu0)
-        js = mesh.energies(prob)
-        smask = np.array([[labels[i, k] is RegionLabel.SIGN_CHANGING
-                           for k in range(cfg.nt)] for i in range(cfg.nr)])
-        if not smask.any():
-            raise NotConverged("no surface point remains outside the cone neighborhoods")
-        masked = np.where(smask, js, -np.inf)
-        flat = int(np.argmax(masked))
-        maximizer_idx = np.unravel_index(flat, masked.shape)
-        r_estimates.append(float(masked.ravel()[flat]))
+    if snapshot is not None:
+        snapshot(0, mesh)
+    labels = mesh.labels(prob, mu0)
+    js = mesh.energies(prob)
+    smask = np.array([[labels[i, k] is RegionLabel.SIGN_CHANGING
+                       for k in range(cfg.nt)] for i in range(cfg.nr)])
+    if not smask.any():
+        raise NotConverged("no surface point lies outside the cone neighborhoods")
+    masked = np.where(smask, js, -np.inf)
+    flat = int(np.argmax(masked))
+    maximizer_idx = np.unravel_index(flat, masked.shape)
+    r_estimates = [float(masked.ravel()[flat])]
 
-        if (len(r_estimates) >= cfg.stall_window
-                and max(r_estimates[-cfg.stall_window:])
-                - min(r_estimates[-cfg.stall_window:])
-                <= cfg.stall_rel * (1.0 + abs(r_estimates[-1]))):
-            break
-        if sweep == cfg.max_sweeps - 1:
-            break
-        r_k = r_estimates[-1]
-        eps = cfg.band_frac * (1.0 + abs(r_k - beta))
-        in_band = [(1.0 + space.h1_norm(mesh.images[i, k]))
-                   * slope(prob, mesh.images[i, k]).value
-                   for i in range(cfg.nr) for k in range(cfg.nt)
-                   if smask[i, k] and abs(js[i, k] - r_k) <= 2 * eps
-                   and not mesh.frozen[i, k]]
-        b_floor = min((v for v in in_band if v > cfg.flow.tol_m), default=0.0)
-        horizon = cfg.horizon_cap if b_floor <= 0 else min(
-            16.0 * eps / b_floor, cfg.horizon_cap)
-        sweep_cfg = replace(cfg.flow, mu0=mu0, level_r=r_k, eps=eps,
-                            eps_bar=2.0 * eps, t_max=horizon,
-                            tol_m=max(cfg.flow.tol_m, SWEEP_TOL_M),
-                            max_steps=min(cfg.flow.max_steps, 4000))
-        mesh = deform_surface(prob, mesh, sweep_cfg)
-
-    # extraction: bisect the stalled maximizer across the descent separatrix;
-    # the last sweep ends before deforming, so its labels and energies stand
+    # extraction: bisect the maximizer across the descent separatrix
     order = np.argsort(-masked, axis=None)
     wrong_region = 0
     candidate_state = None
@@ -582,12 +567,11 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
                          max(abs(js[i, k] - jn) for jn in neighbor_js))
     if candidate_state is None:
         return MinimaxReport(alpha, beta, r_estimates, param, maximizer, None,
-                             float("nan"), None, len(r_estimates), False,
-                             wrong_region, mesh_tolerance, counts)
+                             float("nan"), None, False, wrong_region,
+                             mesh_tolerance, None, counts)
     final_slope = slope(prob, candidate_state.u).value
     label = region_of(space, candidate_state.u, mu0)
     converged = final_slope <= cfg.flow.tol_m and label is RegionLabel.SIGN_CHANGING
     return MinimaxReport(alpha, beta, r_estimates, param, maximizer,
-                         candidate_state.u.copy(), final_slope, label,
-                         len(r_estimates), converged, wrong_region, mesh_tolerance,
-                         counts)
+                         candidate_state.u.copy(), final_slope, label, converged,
+                         wrong_region, mesh_tolerance, candidate_state.j, counts)

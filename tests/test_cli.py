@@ -188,6 +188,33 @@ def test_solve_logs_the_extraction_counts(tmp_path):
     assert report["wrong_region_events"] == 0 and "extraction" not in report
 
 
+def test_minimax_report_brackets_the_certified_energy(tmp_path):
+    path, _ = small_config(tmp_path, grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 15},
+                           seed=1)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "minimax_report.json").read_text())
+    assert set(report) == {
+        "alpha", "beta", "r_estimates", "r_final", "level_bracket", "level_consistent",
+        "maximizer_param", "candidate_slope", "label", "converged",
+        "wrong_region_events", "mesh_tolerance", "q_interpretation", "config_hash"}
+    # one labelling of the identity surface: one sup, no deformation rounds
+    assert report["r_estimates"] == [report["r_final"]]
+    assert report["level_bracket"] == [report["beta"],
+                                       report["r_final"] + report["mesh_tolerance"]]
+    assert report["level_consistent"] is True
+    text = (out / "solution.csv").read_text()
+    header = dict(line[2:].split("=", 1) for line in text.splitlines()
+                  if line.startswith("# "))
+    cfg = load_config(json.loads(open(path).read()))
+    space = nf.build_space(cfg.grid)
+    j = nf.energy(nf.EnergyProblem(space, cfg.potential, cfg.lam),
+                  nf.field_from_csv(space, text))
+    assert float(header["energy"]) == j
+    low, high = report["level_bracket"]
+    assert low <= j <= high
+
+
 def test_screened_labels_leave_solve_artifacts_unchanged(tmp_path, monkeypatch):
     # region_of decides most labels by distance bounds; projecting every one
     # instead must give the same bytes
@@ -490,7 +517,9 @@ def test_unknown_key_in_any_section_rejected(section, key):
     ("linking", "flow"), ("linking", "scan", "t_modes"),
     ("linking", "scan", "radius_max"), ("linking", "scan", "n_radius"),
     ("linking", "scan", "delta_min"), ("linking", "scan", "delta_max"),
-    ("linking", "scan", "n_delta")])
+    ("linking", "scan", "n_delta"), ("linking", "max_sweeps"),
+    ("linking", "stall_window"), ("linking", "stall_rel"), ("linking", "band_frac"),
+    ("linking", "horizon_cap")])
 def test_removed_and_internal_keys_rejected(path):
     cfg = _base_config()
     _set(cfg, path, 0.1)
@@ -545,7 +574,7 @@ _accepted_configs = st.fixed_dictionaries({}, optional={
         "max_steps": st.integers(1, 10**6), "dt0": st.floats(1e-3, 0.5),
         "checkpoint_every": st.one_of(st.none(), st.integers(1, 100))}),
     "linking": st.fixed_dictionaries({}, optional={
-        "nr": st.integers(2, 20), "stall_rel": st.floats(0.0, 1.0),
+        "nr": st.integers(2, 20), "mesh_tol": st.floats(0.0, 1.0),
         "snapshots": st.booleans(),
         "scan": st.fixed_dictionaries({}, optional={
             "n_theta": st.integers(1, 200),

@@ -77,8 +77,7 @@ def test_deform_surface_contracts(quartic_63, frame_63):
     r0 = float(np.max(np.where(
         [[l is nf.RegionLabel.SIGN_CHANGING for l in row]
          for row in mesh.labels(quartic_63, mu0)], js, -np.inf)))
-    cfg = nf.FlowConfig(mu0=mu0, level_r=r0, eps=3.0, eps_bar=6.0,
-                        t_max=0.5, tol_m=1e-3)
+    cfg = nf.FlowConfig(mu0=mu0, t_max=0.5, tol_m=1e-3)
     new = nf.deform_surface(quartic_63, mesh, cfg)
     # frozen points bitwise identical
     assert np.array_equal(new.images[mesh.frozen], mesh.images[mesh.frozen])
@@ -110,9 +109,11 @@ def test_minimax_converges(quartic_63, minimax_63):
 
 def test_minimax_report_invariants(quartic_63, minimax_63):
     cfg, rep = minimax_63
-    diffs = np.diff(rep.r_estimates)
-    assert np.all(diffs <= 1e-9)          # sup sequence nonincreasing
     assert rep.alpha < rep.beta
+    # the certified energy lies between beta and the identity surface's sup
+    assert rep.candidate_energy == nf.energy(quartic_63, rep.candidate)
+    assert rep.level_bracket == (rep.beta, rep.r_final + rep.mesh_tolerance)
+    assert rep.level_consistent
     assert rep.beta <= rep.r_final + rep.mesh_tolerance
     assert rep.r_final >= rep.beta - rep.mesh_tolerance
     space = quartic_63.space
@@ -120,7 +121,7 @@ def test_minimax_report_invariants(quartic_63, minimax_63):
     assert d_plus > 0.45 and d_minus > 0.45
     assert np.any(rep.candidate > 0) and np.any(rep.candidate < 0)
     text = dumps(rep.to_dict())
-    assert '"r_final"' in text
+    assert '"r_final"' in text and '"level_consistent": true' in text
 
 
 def test_minimax_mesh_refinement_stability(quartic_63, frame_63, minimax_63):
@@ -152,19 +153,11 @@ def test_surface_snapshot_csv(quartic_63, frame_63):
 def test_minimax_snapshot_callback(quartic_63, frame_63):
     mu0, frame = frame_63
     seen = []
-    cfg = nf.MinimaxConfig(nr=5, nt=9, max_sweeps=2)
+    cfg = nf.MinimaxConfig(nr=5, nt=9)
     nf.minimax_iterate(quartic_63, frame, cfg, np.random.default_rng(9),
                        snapshot=lambda it, mesh: seen.append(it))
-    assert seen == list(range(len(seen)))
-    assert len(seen) >= 1
-
-
-def test_minimax_needs_a_sweep():
-    # the extraction uses the labels and energies of the last sweep
-    with pytest.raises(ValueError, match="max_sweeps"):
-        nf.MinimaxConfig(max_sweeps=0)
-    with pytest.raises(nf.ConfigError, match="max_sweeps"):
-        nf.load_config({"linking": {"max_sweeps": 0}})
+    # the identity surface is the only one
+    assert seen == [0]
 
 
 def test_t_sphere_sampling_is_m_orthogonal(quartic_63, frame_63):
