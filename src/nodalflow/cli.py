@@ -149,8 +149,14 @@ def _resolve_mu0(cfg: RunConfig, prob, rng, run: _Run) -> float:
     run.stage = "mu0"
     if isinstance(cfg.mu0, float):
         return cfg.mu0
-    mu0 = fit_mu0(prob, rng)
-    run.log(f"auto mu0 = {mu0:.6g}")
+    fit: dict = {}
+    mu0 = fit_mu0(prob, rng, fit=fit)
+    if fit["mu_star"] is None:
+        source = "fallback: fitted C = 0"
+    else:
+        capped = ", capped at 0.9" if fit["mu_star"] >= 0.9 else ""
+        source = f"fit: C = {fit['c']:.6g}, mu* = {fit['mu_star']:.6g}{capped}"
+    run.log(f"auto mu0 = {mu0:.6g} ({source})")
     return mu0
 
 

@@ -10,31 +10,41 @@ primal-dual active-set iteration; in floating point its active sets can cycle
 that repeats ends the iteration.  Every result carries an explicit KKT
 residual and is rejected when that residual is above tolerance.
 
-A distance mostly enters a comparison, and two exact bounds on it decide most
+A distance mostly enters a comparison, and bounds on it decide most
 comparisons without a projection.  A region label asks whether a distance is
 at most mu0.  The invariance checker compares image distances with its running
 maxima and with d/3 + C d^(q-1), and accepts a sample when its distance d is
-above 1e-12; the frame scan takes the least distance over its directions.  Only
-what the bounds cannot decide is projected, so every result is the one the
-projected distances give, to the bit.
+above 1e-12; the frame scan takes the least distance over its directions.
+Each distance is read in three tiers (see _ConeDistance): free bounds from
+the field's negative part, dual bounds from one Riesz solve, and only then the
+projection.  A comparison that a tier's bounds, widened for rounding, decide
+is decided there, so every result is the one the projected distances give,
+to the bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .mesh import DiscreteSpace
 
 
-# Relative slack on the distance bounds that region_of screens with, in units
-# of eps * space.condition: sqrt(w'Aw) of a smooth w loses about that much
-# relative accuracy to cancellation, in a projected distance and in the
-# bounds alike, so their rounding cannot decide a label the projected
-# distance would not.
+# Relative slack on the distance bounds, in units of eps * space.condition:
+# sqrt(w'Aw) of a smooth w loses about that much relative accuracy to
+# cancellation, in a projected distance and in the bounds alike, so their
+# rounding cannot decide a comparison the projected distance would not.  The
+# dual lower bound takes twice it: its Riesz solve y = A^-1 g perturbs g.y by
+# a relative eps * cond(A) times a small constant, on top of the projected
+# distance's own rounding.
 SCREEN_ROUNDING = 4.0
+
+# Multiples of t0 at which the dual tier tries the feasible point v_t: the
+# best multiple is ~0.8 on 2D grids and ~1.2 on 1D grids
+DUAL_STEPS = (0.5, 0.7071, 1.0, 1.4142, 2.0)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -195,60 +205,92 @@ def dist_to_cones(space: DiscreteSpace, u: np.ndarray) -> tuple[float, float]:
 
 
 class _ConeDistance:
-    """dist(u, sign*P) bracketed by exact bounds; the upper one and the
-    projected distance are computed when first read.
+    """dist(u, sign*P) in three tiers, each computed when first read: two
+    bracketing pairs of bounds, each inside the last, then the projected
+    distance.
 
-    With n = min(sign*u, 0), sign*u - n lies in P, so dist <= |n|_A; and the
-    nodewise truncation n is the M-nearest offset to P, so with the Poincare
-    inequality |w|_A >= sqrt(lambda1)*|w|_M, dist >= sqrt(lambda1)*|n|_M.  Each
-    bound is widened by SCREEN_ROUNDING for rounding, so it also brackets the
-    projected distance as computed, and a comparison that holds for the bound
-    holds for the projected distance.
+    With n = max(-sign*u, 0):
+
+    - free: sign*u + n lies in P, so dist <= |n|_A; and n is the M-nearest
+      offset to P, so by the Poincare inequality |w|_A >= sqrt(lambda1)*|w|_M,
+      dist >= sqrt(lambda1)*|n|_M.
+    - dual: the polar cone of P in the A product is {y : Ay <= 0}, so for any
+      g >= 0, dist >= (-sign*u).g / sqrt(g'A^-1 g) (Moreau).  With g = M n and
+      y = A^-1 g (one Riesz solve) this reads |n|_M^2 / sqrt(g.y), never below
+      the free lower bound.  Each v_t = max(sign*u + t*y, 0) lies in P, so
+      dist <= |v_t - sign*u|_A = |max(t*y, n)|_A; t runs over DUAL_STEPS
+      times t0 = |n|_M^2 / g.y, the multiple of y whose norm is the lower
+      bound, and t = 0 is the free upper bound.
+    - exact: project_cone.
+
+    Each bound is widened for rounding (see SCREEN_ROUNDING), so it also
+    brackets the projected distance as computed, and a comparison that holds
+    for a bound holds for the projected distance.
     """
-
-    __slots__ = ("space", "u", "sign", "neg", "margin", "lower", "_upper", "_exact")
 
     def __init__(self, space: DiscreteSpace, u: np.ndarray, sign: int):
         self.space, self.u, self.sign = space, u, sign
-        self.neg = neg = np.minimum(sign * u, 0.0)
+        self.neg = neg = np.maximum(-sign * u, 0.0)
         if not neg.any():
             # u lies in sign*P, and project_cone returns distance 0.0 for it
-            self.lower = self._upper = self._exact = 0.0
+            self.lower = self.upper = self.dual_lower = self.dual_upper = self.exact = 0.0
             return
         self.margin = SCREEN_ROUNDING * _EPS * space.condition
-        self.lower = float(np.sqrt(space.lambda1 * (neg @ (space.M_diag * neg)))
-                           * (1.0 - self.margin))
-        self._upper = self._exact = None
+        self.norm_m2 = neg @ (space.M_diag * neg)
+        self.lower = float(np.sqrt(space.lambda1 * self.norm_m2) * (1.0 - self.margin))
 
-    @property
+    @cached_property
     def upper(self) -> float:
-        if self._upper is None:
-            neg = self.neg
-            self._upper = float(np.sqrt(neg @ (self.space.A @ neg)) * (1.0 + self.margin))
-        return self._upper
+        return self._norm_a(self.neg)
 
-    @property
+    @cached_property
+    def _riesz(self) -> tuple[float, np.ndarray]:
+        """(g.y, y) with g = M n and y = A^-1 g; g.y is nan where it
+        underflows to 0, and max and min below then keep the free bounds."""
+        g = self.space.M_diag * self.neg
+        y = self.space.solve(g)
+        gy = float(g @ y)
+        return (gy if gy > 0.0 else np.nan), y
+
+    @cached_property
+    def dual_lower(self) -> float:
+        gy = self._riesz[0]
+        return max(self.lower, float(self.norm_m2 / np.sqrt(gy)) * (1.0 - 2.0 * self.margin))
+
+    @cached_property
+    def dual_upper(self) -> float:
+        gy, y = self._riesz
+        t0 = self.norm_m2 / gy
+        return min([self.upper] + [self._norm_a(np.maximum(step * t0 * y, self.neg))
+                                   for step in DUAL_STEPS])
+
+    def _norm_a(self, w: np.ndarray) -> float:
+        return float(np.sqrt(w @ (self.space.A @ w)) * (1.0 + self.margin))
+
+    @cached_property
     def exact(self) -> float:
-        if self._exact is None:
-            self._exact = project_cone(self.space, self.u, self.sign).distance
-        return self._exact
+        return project_cone(self.space, self.u, self.sign).distance
 
     def within(self, mu: float) -> bool:
-        """Whether dist <= mu (mu > 0), projecting only when the bounds
-        straddle mu."""
+        """Whether dist <= mu, projecting only when the free and the dual
+        bounds both straddle mu."""
         if self.lower > mu:
             return False
-        return self.upper <= mu or self.exact <= mu
+        if self.upper <= mu:
+            return True
+        if self.dual_lower > mu:
+            return False
+        return self.dual_upper <= mu or self.exact <= mu
 
 
 def min_dist_to_cones(space: DiscreteSpace, fields: list[np.ndarray]) -> float:
     """min over the fields of dist(u, P) and dist(u, -P), by branch and bound:
-    in order of lower bound, a field is projected only while its lower bound
+    in order of dual lower bound, a field is projected only while that bound
     is below the least distance projected so far."""
     best = np.inf
     dists = [_ConeDistance(space, u, sign) for u in fields for sign in (1, -1)]
-    for dist in sorted(dists, key=lambda d: d.lower):
-        if dist.lower >= best:
+    for dist in sorted(dists, key=lambda d: d.dual_lower):
+        if dist.dual_lower >= best:
             break
         best = min(best, dist.exact)
     return best
@@ -359,10 +401,19 @@ def _boundary_samples(prob, sign: int, distances: np.ndarray, per_distance: int,
 
 # Each checker comparison (raise C, raise the worst ratio, break the
 # inequality) holds only for a large enough image distance, and is monotone in
-# the sample's distance d (q > 2, C >= 0).  So the image's upper bound and the
-# bound on d that favours the comparison stand in for them: an image is
-# projected only when its bounds let the comparison hold, and its sample only
-# when the outcome needs d.
+# the sample's distance d (q > 2, C >= 0).  So the image's upper bounds and the
+# bounds on d that favour the comparison stand in for them: an image is
+# projected only when both tiers of its bounds let the comparison hold, and
+# its sample only when the outcome needs d.
+
+
+def _may_hold(test, img: _ConeDistance, d: _ConeDistance) -> bool:
+    """Whether test(dist(image), dist(sample)) holds for the projected
+    distances, for a test that rises with its first argument and falls with
+    its second: the free and then the dual bounds that favour it decide where
+    they fail it, and only then are both projected."""
+    return (test(img.upper, d.lower) and test(img.dual_upper, d.dual_lower)
+            and test(img.exact, d.exact))
 
 
 def _excess(d_img: float, d: float, q: float) -> float:
@@ -379,7 +430,7 @@ def _fit_constant(prob, sign: int, per_distance: int, rng: np.random.Generator) 
     for u, d in _boundary_samples(prob, sign, ladder, per_distance, rng):
         for img in _selection_images(prob, u, rng):
             d_img = _ConeDistance(space, img, sign)
-            if _excess(d_img.upper, d.lower, q) > c_fit:
+            if _may_hold(lambda a, b: _excess(a, b, q) > c_fit, d_img, d):
                 c_fit = max(c_fit, _excess(d_img.exact, d.exact, q))
     return c_fit
 
@@ -411,9 +462,11 @@ def check_schauder(prob, mu0: float, sample_count: int = 100,
         for u, d in fresh:
             for img in _selection_images(prob, u, rng):
                 d_img = _ConeDistance(space, img, sign)
-                if d_img.upper / mu0 > worst and d_img.exact / mu0 > worst:
+                # the ratio reads the image alone, so the sample is not bounded for it
+                if (d_img.upper / mu0 > worst and d_img.dual_upper / mu0 > worst
+                        and d_img.exact / mu0 > worst):
                     worst, witness = d_img.exact / mu0, d.exact
-                if ineq_ok and d_img.upper > bound(d.lower) and d_img.exact > bound(d.exact):
+                if ineq_ok and _may_hold(lambda a, b: a > bound(b), d_img, d):
                     ineq_ok = False
         reports.append(InvarianceReport(
             sign=sign, mu0=mu0, worst_ratio=worst, fitted_c=c_fit, q=q,
@@ -424,13 +477,20 @@ def check_schauder(prob, mu0: float, sample_count: int = 100,
 
 
 def fit_mu0(prob, rng: np.random.Generator | None = None,
-            sample_count: int = 60) -> float:
+            sample_count: int = 60, fit: dict | None = None) -> float:
     """Automatic mu0: fit C over both signs, take the largest mu0 in (0,1) with
-    mu0/3 + C mu0^(q-1) <= mu0/2, then halve for safety."""
+    mu0/3 + C mu0^(q-1) <= mu0/2, then halve for safety.
+
+    ``fit``, when given, receives the fitted C (with its 1.2x headroom) as
+    "c" and that largest mu0 as "mu_star", None where C = 0 leaves mu0 at its
+    0.45 fallback.
+    """
     rng = rng if rng is not None else np.random.default_rng(0)
     c_fit = max(_fit_constant(prob, sign, max(3, sample_count // 8), rng)
                 for sign in (1, -1)) * 1.2
-    if c_fit <= 0:
+    mu_star = None if c_fit <= 0 else (1.0 / (6.0 * c_fit)) ** (1.0 / (prob.potential.q - 2.0))
+    if fit is not None:
+        fit.update(c=c_fit, mu_star=mu_star)
+    if mu_star is None:
         return 0.45  # image indistinguishable from the cone; any mu0 < 1 works
-    mu_star = (1.0 / (6.0 * c_fit)) ** (1.0 / (prob.potential.q - 2.0))
     return 0.5 * min(0.9, mu_star)

@@ -191,41 +191,50 @@ def estimate_alpha_beta(prob: EnergyProblem, frame: LinkingFrame,
 
 @dataclass
 class SurfaceMesh:
+    """Images of the parameter grid (rho, theta), and which identity images
+    are sign-changing at the frame's mu0.  That mask splits the parameter
+    boundary into identity-pinned points (dQ cap S) and points constrained to
+    W, for the identity and for every deformation of it."""
+
     rho: np.ndarray            # (nr,)
     theta: np.ndarray          # (nt,)
     images: np.ndarray         # (nr, nt, dim)
-    frozen: np.ndarray         # (nr, nt) identity-pinned boundary (dQ cap S)
-    wcon: np.ndarray           # (nr, nt) boundary constrained to W
+    changing: np.ndarray       # (nr, nt) identity image sign-changing
 
     @staticmethod
     def identity_embedding(prob: EnergyProblem, frame: LinkingFrame,
                            nr: int, nt: int) -> "SurfaceMesh":
-        space = prob.space
         rho = np.linspace(0.0, 1.0, nr)
         theta = np.linspace(0.0, np.pi, nt)
-        images = np.empty((nr, nt, space.dim))
+        images = np.empty((nr, nt, prob.space.dim))
         for i, r in enumerate(rho):
             for k, th in enumerate(theta):
                 images[i, k] = frame.q_point(r, th)
-        boundary = np.zeros((nr, nt), dtype=bool)
+        mesh = SurfaceMesh(rho, theta, images, np.zeros((nr, nt), dtype=bool))
+        mesh.changing = np.array([[lbl is RegionLabel.SIGN_CHANGING for lbl in row]
+                                  for row in mesh.labels(prob, frame.mu0)])
+        return mesh
+
+    @property
+    def _boundary(self) -> np.ndarray:
+        boundary = np.zeros(self.changing.shape, dtype=bool)
         boundary[-1, :] = True               # the radius-R arc
         boundary[:, 0] = boundary[:, -1] = True   # the bottom segment (theta in {0, pi})
         boundary[0, :] = True                # the degenerate center (0 in W)
-        frozen = np.zeros_like(boundary)
-        wcon = np.zeros_like(boundary)
-        for i in range(nr):
-            for k in range(nt):
-                if not boundary[i, k]:
-                    continue
-                lbl = region_of(space, images[i, k], frame.mu0)
-                if lbl is RegionLabel.SIGN_CHANGING:
-                    frozen[i, k] = True
-                else:
-                    wcon[i, k] = True
-        return SurfaceMesh(rho, theta, images, frozen, wcon)
+        return boundary
+
+    @property
+    def frozen(self) -> np.ndarray:
+        """(nr, nt) identity-pinned boundary (dQ cap S)."""
+        return self._boundary & self.changing
+
+    @property
+    def wcon(self) -> np.ndarray:
+        """(nr, nt) boundary constrained to W."""
+        return self._boundary & ~self.changing
 
     def labels(self, prob: EnergyProblem, mu0: float) -> np.ndarray:
-        nr, nt = self.frozen.shape
+        nr, nt = self.images.shape[:2]
         out = np.empty((nr, nt), dtype=object)
         for i in range(nr):
             for k in range(nt):
@@ -255,18 +264,19 @@ def deform_surface(prob: EnergyProblem, mesh: SurfaceMesh,
     for it (ROADMAP item 4)."""
     new_images = mesh.images.copy()
     violations = []
-    nr, nt = mesh.frozen.shape
+    frozen, wcon = mesh.frozen, mesh.wcon
+    nr, nt = frozen.shape
     for i in range(nr):
         for k in range(nt):
-            if mesh.frozen[i, k]:
+            if frozen[i, k]:
                 continue
             traj = integrate_flow(prob, mesh.images[i, k], flow_cfg)
             new_images[i, k] = traj.final.u
-            if mesh.wcon[i, k] and traj.final.label is RegionLabel.SIGN_CHANGING:
+            if wcon[i, k] and traj.final.label is RegionLabel.SIGN_CHANGING:
                 violations.append({"rho_index": i, "theta_index": k})
     if violations:
         raise InvarianceViolation(f"W-boundary points left W: {violations}")
-    return SurfaceMesh(mesh.rho, mesh.theta, new_images, mesh.frozen, mesh.wcon)
+    return SurfaceMesh(mesh.rho, mesh.theta, new_images, mesh.changing)
 
 
 # -- minimax -------------------------------------------------------------------
@@ -487,15 +497,21 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
 
     if snapshot is not None:
         snapshot(0, mesh)
-    labels = mesh.labels(prob, mu0)
     js = mesh.energies(prob)
-    smask = np.array([[labels[i, k] is RegionLabel.SIGN_CHANGING
-                       for k in range(cfg.nt)] for i in range(cfg.nr)])
+    smask = mesh.changing
     if not smask.any():
         raise NotConverged("no surface point lies outside the cone neighborhoods")
     masked = np.where(smask, js, -np.inf)
     flat = int(np.argmax(masked))
-    maximizer_idx = np.unravel_index(flat, masked.shape)
+    # the report's maximizer is the argmax, whichever point the extraction
+    # below ends on
+    i, k = np.unravel_index(flat, masked.shape)
+    maximizer = mesh.images[i, k].copy()
+    param = (float(mesh.rho[i]), float(mesh.theta[k]))
+    neighbor_js = [js[i + di, k + dk] for di, dk in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                   if 0 <= i + di < cfg.nr and 0 <= k + dk < cfg.nt]
+    mesh_tolerance = max(cfg.mesh_tol,
+                         max(abs(js[i, k] - jn) for jn in neighbor_js))
     r_estimates = [float(masked.ravel()[flat])]
 
     # extraction: bisect the maximizer across the descent separatrix
@@ -527,7 +543,6 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
             break
         tried += 1
         i, k = np.unravel_index(int(flat), masked.shape)
-        maximizer_idx = (int(i), int(k))
         kind, state, dip = classify_at((i, k))
         if kind == "done":
             if accept(state):
@@ -558,13 +573,6 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
         if candidate_state is not None:
             break
 
-    i, k = maximizer_idx
-    maximizer = mesh.images[i, k].copy()
-    param = (float(mesh.rho[i]), float(mesh.theta[k]))
-    neighbor_js = [js[i + di, k + dk] for di, dk in ((1, 0), (-1, 0), (0, 1), (0, -1))
-                   if 0 <= i + di < cfg.nr and 0 <= k + dk < cfg.nt]
-    mesh_tolerance = max(cfg.mesh_tol,
-                         max(abs(js[i, k] - jn) for jn in neighbor_js))
     if candidate_state is None:
         return MinimaxReport(alpha, beta, r_estimates, param, maximizer, None,
                              float("nan"), None, False, wrong_region,

@@ -82,7 +82,7 @@ def test_invalid_potential_exits_2(tmp_path, capsys):
 
 
 def test_projection_failure_exits_4(tmp_path, capsys, monkeypatch):
-    def failing_fit(prob, rng):
+    def failing_fit(prob, rng, **kwargs):
         raise ProjectionError("KKT residual 1.000e+00 above tolerance 1.0e-09")
 
     monkeypatch.setattr("nodalflow.cli.fit_mu0", failing_fit)
@@ -94,6 +94,22 @@ def test_projection_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert report == {"error": "ProjectionError", "stage": "mu0",
                       "message": "KKT residual 1.000e+00 above tolerance 1.0e-09",
                       "config_hash": load_config(json.loads(open(path).read())).hash}
+
+
+@pytest.mark.parametrize("potential, lam, source", [
+    ("power:4", 1.0, r"\(fallback: fitted C = 0\)"),
+    ("power:3", 100.0, r"\(fit: C = [0-9.e+-]+, mu\* = [0-9.e+-]+\)")])
+def test_run_log_says_where_the_auto_mu0_came_from(tmp_path, potential, lam, source):
+    # power:4 at lambda 1 fits C = 0 and falls back to mu0 = 0.45, which a
+    # fit with mu* >= 0.9 also gives; power:3 at lambda 100 fits C > 0
+    path, _ = small_config(tmp_path, potential=potential, **{"lambda": lam},
+                           grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 31})
+    main(["solve", "--config", path])
+    log = (tmp_path / "out" / "run.log").read_text()
+    line = re.search(r"auto mu0 = (\S+) (.*)", log)
+    assert re.fullmatch(source, line.group(2))
+    mu0 = json.loads((tmp_path / "out" / "invariance_report.json").read_text())["mu0"]
+    assert line.group(1) == f"{mu0:.6g}"
 
 
 @pytest.mark.parametrize("n, potential", [(63, "two_slope:1,2"), (223, "power:4")])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,7 +220,9 @@ def test_active_set_returns_a_certified_iterate_when_it_cycles(space_63):
 
 SCREEN_SPACES = {
     "1d": nf.build_space(nf.GridSpec.interval(0.0, 1.0, 63)),
+    "1d_even": nf.build_space(nf.GridSpec.interval(0.0, 1.0, 64)),
     "2d": nf.build_space(nf.GridSpec.rectangle([(0.0, 1.4), (0.0, 1.0)], (7, 5))),
+    "2d_even": nf.build_space(nf.GridSpec.rectangle([(0.0, 1.4), (0.0, 1.0)], (8, 6))),
 }
 
 
@@ -277,6 +281,32 @@ def test_cone_distance_bounds_hold(geometry, seed, kind, sign):
     assert lo * (1.0 - margin) <= d <= hi * (1.0 + margin)
 
 
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(SCREEN_SPACES)), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "mode", "mixed"]), st.sampled_from([1, -1]))
+def test_dual_bounds_bracket_the_projected_distance(geometry, seed, kind, sign):
+    # with n = u^-, g = M n, y = A^-1 g: |n|_M^2 / sqrt(g.y) <= dist(u, P) <=
+    # |max(t y, n)|_A for every t >= 0, up to the screen's slack (twice it
+    # below); the tier's bounds nest inside the free ones
+    space = SCREEN_SPACES[geometry]
+    u = _screen_field(space, seed, kind)
+    d = nf.project_cone(space, u, sign).distance
+    margin = cones.SCREEN_ROUNDING * np.finfo(float).eps * space.condition
+    n = np.maximum(-sign * u, 0.0)
+    tier = cones._ConeDistance(space, u, sign)
+    assert tier.lower <= tier.dual_lower <= d <= tier.dual_upper <= tier.upper
+    if not n.any():
+        assert d == tier.dual_lower == tier.dual_upper == 0.0
+        return
+    g = space.M_diag * n
+    y = space.solve(g)
+    assert n @ g / np.sqrt(g @ y) * (1.0 - 2.0 * margin) <= d
+    t0 = (n @ g) / (g @ y)
+    for t in (0.0, 0.25 * t0, t0, 3.0 * t0):
+        w = np.maximum(t * y, n)
+        assert d <= np.sqrt(w @ (space.A @ w)) * (1.0 + margin)
+
+
 # -- the bound screen of the invariance checker and the frame scan -------------
 
 CHECKER_SPACES = {
@@ -303,12 +333,12 @@ def _checker_run(prob, seed, mu0_probe):
 
 
 def _projecting_every_comparison(monkeypatch):
-    """Make both distance bounds the projected distance itself."""
+    """Make every distance bound, free and dual, the projected distance itself."""
     init = cones._ConeDistance.__init__
 
     def projecting_init(self, *args):
         init(self, *args)
-        self.lower = self._upper = self.exact
+        self.lower = self.upper = self.dual_lower = self.dual_upper = self.exact
 
     monkeypatch.setattr(cones._ConeDistance, "__init__", projecting_init)
 
@@ -392,3 +422,33 @@ def test_min_dist_to_cones_equals_the_projected_minimum(geometry, seed, count):
               for i in range(count)]
     assert cones.min_dist_to_cones(space, fields) == min(
         min(nf.dist_to_cones(space, u)) for u in fields)
+
+
+def test_rect_solve_projects_few_distances(tmp_path, monkeypatch):
+    # the 39x19 rectangle solve (power:4, lambda 1, seed 1): with the dual
+    # tier the frame scan projects 2 of its 64 T directions and no label is
+    # projected; the free bounds alone project 41 directions and 76 distances
+    # in all
+    from nodalflow import cli
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "grid": {"dimension": 2, "bounds": [[0.0, 2.0], [0.0, 1.0]], "n": [39, 19]},
+        "potential": "power:4", "lambda": 1.0, "seed": 1,
+        "output_dir": str(tmp_path / "out")}))
+    stage, calls = [None], []
+    project = cones.project_cone
+    monkeypatch.setattr(cones, "project_cone", lambda *args, **kwargs:
+                        calls.append(stage[0]) or project(*args, **kwargs))
+    build_frame = cli.build_frame
+
+    def framing(*args):
+        stage[0] = "frame"
+        try:
+            return build_frame(*args)
+        finally:
+            stage[0] = None
+
+    monkeypatch.setattr(cli, "build_frame", framing)
+    assert cli.main(["solve", "--config", str(config)]) == 0
+    assert calls.count("frame") <= 5
+    assert len(calls) <= 30

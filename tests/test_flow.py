@@ -116,18 +116,22 @@ def test_flow_projects_only_where_the_bounds_straddle(quartic_63, monkeypatch):
     traj = nf.integrate_flow(quartic_63, 3.0 * space.eigenpairs(2)[1][1],
                              nf.FlowConfig(mu0=mu0))
     margin = cones.SCREEN_ROUNDING * np.finfo(float).eps * space.condition
-    straddling = []
+    free_straddling, straddling = [], []
     for s in traj.states:
         for sign in (1, -1):
             neg = np.minimum(sign * s.u, 0.0)
             lo = np.sqrt(space.lambda1 * (neg @ (space.M_diag * neg)))
             hi = np.sqrt(neg @ (space.A @ neg))
             if neg.any() and lo * (1.0 - margin) <= mu0 < hi * (1.0 + margin):
-                straddling.append((s.u.tobytes(), sign))
-    # the flow from 3*phi2 decays to 0, so it crosses the neighborhood edges
+                free_straddling.append((s.u.tobytes(), sign))
+                dual = cones._ConeDistance(space, s.u, sign)
+                if dual.dual_lower <= mu0 < dual.dual_upper:
+                    straddling.append((s.u.tobytes(), sign))
+    # the flow from 3*phi2 decays to 0, so it crosses the neighborhood edges,
+    # where the free bounds straddle mu0 and the dual bounds decide
     assert traj.states[0].label is nf.RegionLabel.SIGN_CHANGING
     assert traj.final.label is nf.RegionLabel.OVERLAP
-    assert straddling and labelled == straddling and not measured
+    assert free_straddling and labelled == straddling and not measured
 
     # a distance is projected when first read, and then kept
     monkeypatch.undo()

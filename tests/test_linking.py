@@ -124,6 +124,51 @@ def test_minimax_report_invariants(quartic_63, minimax_63):
     assert '"r_final"' in text and '"level_consistent": true' in text
 
 
+def test_surface_points_are_labelled_once(quartic_63, frame_63, monkeypatch):
+    mu0, frame = frame_63
+    calls = []
+    real = linking.region_of
+    monkeypatch.setattr(linking, "region_of",
+                        lambda space, u, mu: calls.append(1) or real(space, u, mu))
+    mesh = SurfaceMesh.identity_embedding(quartic_63, frame, 5, 9)
+    # the boundary's frozen/wcon split reads the same labels as the minimax
+    assert len(calls) == 5 * 9
+    assert np.array_equal(mesh.changing, [[lbl is nf.RegionLabel.SIGN_CHANGING for lbl in row]
+                                          for row in mesh.labels(quartic_63, mu0)])
+    labelled = []
+    real_labels = SurfaceMesh.labels
+    monkeypatch.setattr(SurfaceMesh, "labels", lambda self, *args:
+                        labelled.append(1) or real_labels(self, *args))
+    nf.minimax_iterate(quartic_63, frame, nf.MinimaxConfig(nr=5, nt=9),
+                       np.random.default_rng(9))
+    assert len(labelled) == 1
+
+
+def test_report_maximizer_is_the_argmax_when_a_retry_succeeds(quartic_63, frame_63,
+                                                             minimax_63, monkeypatch):
+    mu0, frame = frame_63
+    cfg, rep = minimax_63
+    tried = []
+    real_classify = linking._classify_descent
+
+    def classify(prob, u0, *args, **kwargs):
+        tried.append(u0)
+        if len(tried) == 1:
+            return "unresolved", None, None
+        return real_classify(prob, u0, *args, **kwargs)
+
+    monkeypatch.setattr(linking, "_classify_descent", classify)
+    retried = nf.minimax_iterate(quartic_63, frame, cfg, np.random.default_rng(9))
+    mesh = SurfaceMesh.identity_embedding(quartic_63, frame, cfg.nr, cfg.nt)
+    js = np.where(mesh.changing, mesh.energies(quartic_63), -np.inf)
+    i, k = np.unravel_index(np.argmax(js), js.shape)
+    assert np.array_equal(tried[0], mesh.images[i, k])
+    assert retried.converged and retried.r_final == js[i, k] == rep.r_final
+    assert retried.maximizer_param == (mesh.rho[i], mesh.theta[k]) == rep.maximizer_param
+    assert np.array_equal(retried.maximizer, tried[0])
+    assert retried.mesh_tolerance == rep.mesh_tolerance
+
+
 def test_minimax_mesh_refinement_stability(quartic_63, frame_63, minimax_63):
     mu0, frame = frame_63
     cfg_coarse, rep_coarse = minimax_63
