@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 config error, 3 no linking window, 4 not converged
 (including failed structural hypotheses and numerical failures), 5 invariance
 violation.  All randomness flows from the config seed through a fixed spawn
-order: 0 hypothesis sampling, 1 mu0 fitting and the invariance check, 2 frame
-scans, 3 minimax.  Artifacts carry the hex digest of the canonicalized config text;
+order: 0 hypothesis sampling, 1 stage mu0's fit of the invariance constants
+(also for a given mu0 in solve and verify) and the check, 2 frame scans, 3
+minimax.  Artifacts carry the hex digest of the canonicalized config text;
 --out chooses the destination directory and does not enter the hash.
 """
 
@@ -108,7 +109,8 @@ class _Run:
         self.log(f"stage {self.stage}: {type(exc).__name__}: {exc}")
 
 
-_START_RE = re.compile(r"^([+-]?\d*\.?\d*(?:[eE][+-]?\d+)?)\s*\*?\s*phi([12])$")
+# a coefficient is a sign alone or a number with at least one digit
+_START_RE = re.compile(r"^([+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?)\s*\*?\s*phi([12])$")
 
 
 def parse_start(space, name: str) -> np.ndarray:
@@ -116,9 +118,8 @@ def parse_start(space, name: str) -> np.ndarray:
         return space.zero_field()
     match = _START_RE.match(name.strip())
     if match:
-        coef = match.group(1)
+        coef, k = match.group(1), int(match.group(2))
         c = float(coef) if coef not in ("", "+", "-") else float(coef + "1")
-        k = int(match.group(2))
         return c * space.eigenpairs(k)[k - 1][1]
     if os.path.exists(name):
         with open(name) as fh:
@@ -145,19 +146,20 @@ def read_checkpoint(space, path: str) -> Checkpoint:
     return checkpoint
 
 
-def _resolve_mu0(cfg: RunConfig, prob, rng, run: _Run) -> float:
+def _mu0_stage(cfg: RunConfig, prob, rng, run: _Run) -> tuple[float, tuple[float, float]]:
+    """Stage mu0: (mu0, (C+, C-)) from one fit; a given mu0 overrides the fitted one."""
     run.stage = "mu0"
-    if isinstance(cfg.mu0, float):
-        return cfg.mu0
-    fit: dict = {}
-    mu0 = fit_mu0(prob, rng, fit=fit)
-    if fit["mu_star"] is None:
+    fit = fit_mu0(prob, rng)
+    if fit.mu_star is None:
         source = "fallback: fitted C = 0"
     else:
-        capped = ", capped at 0.9" if fit["mu_star"] >= 0.9 else ""
-        source = f"fit: C = {fit['c']:.6g}, mu* = {fit['mu_star']:.6g}{capped}"
-    run.log(f"auto mu0 = {mu0:.6g} ({source})")
-    return mu0
+        capped = ", capped at 0.9" if fit.mu_star >= 0.9 else ""
+        source = f"fit: C = {max(fit.c):.6g}, mu* = {fit.mu_star:.6g}{capped}"
+    if isinstance(cfg.mu0, float):
+        run.log(f"given mu0 = {cfg.mu0:.6g} overrides the fitted {fit.mu0:.6g} ({source})")
+        return cfg.mu0, fit.c
+    run.log(f"auto mu0 = {fit.mu0:.6g} ({source})")
+    return fit.mu0, fit.c
 
 
 def _spawn_rngs(seed: int) -> list[np.random.Generator]:
@@ -167,8 +169,8 @@ def _spawn_rngs(seed: int) -> list[np.random.Generator]:
 def _pre_stages(cfg: RunConfig, prob, rng, run: _Run, write: bool):
     """Hypotheses -> mu0 -> Schauder check, the prefix of solve and verify.
 
-    Returns (hypotheses, mu0, (plus, minus) reports, passed), with None for mu0
-    and the reports when the hypotheses fail; ``write`` writes each stage's
+    Returns (hypotheses, mu0, invariance report, passed), with None for mu0
+    and the report when the hypotheses fail; ``write`` writes each stage's
     report file as the stage ends.
     """
     run.stage = "hypotheses"
@@ -179,15 +181,15 @@ def _pre_stages(cfg: RunConfig, prob, rng, run: _Run, write: bool):
     run.log(f"stage hypotheses: {'passed' if hyp.all_passed else 'failed'}")
     if not hyp.all_passed:
         return hyp, None, None, False
-    mu0 = _resolve_mu0(cfg, prob, rng, run)
+    mu0, c = _mu0_stage(cfg, prob, rng, run)
     run.stage = "schauder"
-    rep_p, rep_m = check_schauder(prob, mu0, cfg.schauder_samples, rng)
+    rep_p, rep_m = check_schauder(prob, mu0, c, cfg.schauder_samples, rng)
+    report = {"mu0": mu0, "plus": rep_p.to_dict(), "minus": rep_m.to_dict()}
     if write:
-        run.write_json("invariance_report.json",
-                       {"mu0": mu0, "plus": rep_p.to_dict(), "minus": rep_m.to_dict()})
+        run.write_json("invariance_report.json", report)
     passed = rep_p.passed and rep_m.passed and rep_p.inequality_ok and rep_m.inequality_ok
     run.log(f"stage schauder: {'passed' if passed else 'failed'}")
-    return hyp, mu0, (rep_p, rep_m), passed
+    return hyp, mu0, report, passed
 
 
 # the stages whose wall seconds the solve logs last
@@ -265,7 +267,7 @@ def cmd_flow(cfg: RunConfig, run: _Run, start: str, resume: str | None) -> int:
     run.open()
     rngs = _spawn_rngs(cfg.seed)
     prob = EnergyProblem(space, cfg.potential, cfg.lam)
-    mu0 = _resolve_mu0(cfg, prob, rngs[1], run)
+    mu0 = cfg.mu0 if isinstance(cfg.mu0, float) else _mu0_stage(cfg, prob, rngs[1], run)[0]
     flow_cfg = replace(cfg.flow, mu0=mu0)
     checkpoint_path = os.path.join(run.outdir, "checkpoint.json")
     run.stage = "flow"
@@ -301,14 +303,13 @@ def cmd_verify(cfg: RunConfig, run: _Run, start: str | None) -> int:
     run.open()
     rngs = _spawn_rngs(cfg.seed)
     prob = EnergyProblem(space, cfg.potential, cfg.lam)
-    hyp, mu0, reports, schauder_ok = _pre_stages(cfg, prob, rngs[1], run, write=False)
+    hyp, mu0, invariance, schauder_ok = _pre_stages(cfg, prob, rngs[1], run, write=False)
     sections: dict = {"hypotheses": hyp.to_dict()}
     ok = hyp.all_passed
     invariance_fail = False
 
     if hyp.all_passed:
-        sections["schauder"] = {"mu0": mu0, "plus": reports[0].to_dict(),
-                                "minus": reports[1].to_dict(), "passed": schauder_ok}
+        sections["schauder"] = dict(invariance, passed=schauder_ok)
         ok = ok and schauder_ok
         invariance_fail = not schauder_ok
 

@@ -20,6 +20,7 @@ sign-changing region).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import diags as sp_diags
@@ -77,11 +78,20 @@ class LinkingFrame:
     delta_t: float         # radius of T
     mu0: float
 
+    @cached_property
+    def _hats(self) -> tuple[np.ndarray, np.ndarray]:
+        """The energy-normalized eigenfields phi1^ and phi2^."""
+        return self.phi1 / np.sqrt(self.lam1), self.phi2 / np.sqrt(self.lam2)
+
     def q_point(self, rho: float, theta: float) -> np.ndarray:
         """Surface point of Q at polar parameters (rho, theta) in [0,1]x[0,pi]."""
-        hat1 = self.phi1 / np.sqrt(self.lam1)
-        hat2 = self.phi2 / np.sqrt(self.lam2)
-        return rho * self.radius * (np.cos(theta) * hat1 + np.sin(theta) * hat2)
+        return self.q_points([rho], [theta])[0, 0]
+
+    def q_points(self, rho, theta) -> np.ndarray:
+        """Points of Q on the grid rho x theta, as a (len(rho), len(theta), dim) block."""
+        hat1, hat2 = self._hats
+        arc = np.cos(theta)[:, None] * hat1 + np.sin(theta)[:, None] * hat2
+        return (np.asarray(rho) * self.radius)[:, None, None] * arc
 
 
 def _v_directions(space: DiscreteSpace, phi1: np.ndarray, count: int,
@@ -172,8 +182,9 @@ def estimate_alpha_beta(prob: EnergyProblem, frame: LinkingFrame,
                         n_t: int = 64) -> tuple[float, float]:
     """alpha = max J over the sign-changing part of dQ, beta = min J over T."""
     space = prob.space
-    boundary = [frame.q_point(rho, th) for theta in np.linspace(0.0, np.pi, n_arc)
-                for rho, th in [(1.0, theta), (theta / np.pi, 0.0), (theta / np.pi, np.pi)]]
+    theta = np.linspace(0.0, np.pi, n_arc)
+    bottom = frame.q_points(theta / np.pi, [0.0, np.pi]).reshape(-1, space.dim)
+    boundary = np.concatenate([frame.q_points([1.0], theta)[0], bottom])  # arc, bottom
     changing = [u for u in boundary
                 if region_of(space, u, frame.mu0) is RegionLabel.SIGN_CHANGING]
     beta = float(np.min(energies(prob, sample_t_sphere(space, frame, n_t, rng))))
@@ -206,11 +217,8 @@ class SurfaceMesh:
                            nr: int, nt: int) -> "SurfaceMesh":
         rho = np.linspace(0.0, 1.0, nr)
         theta = np.linspace(0.0, np.pi, nt)
-        images = np.empty((nr, nt, prob.space.dim))
-        for i, r in enumerate(rho):
-            for k, th in enumerate(theta):
-                images[i, k] = frame.q_point(r, th)
-        mesh = SurfaceMesh(rho, theta, images, np.zeros((nr, nt), dtype=bool))
+        mesh = SurfaceMesh(rho, theta, frame.q_points(rho, theta),
+                           np.zeros((nr, nt), dtype=bool))
         mesh.changing = np.array([[lbl is RegionLabel.SIGN_CHANGING for lbl in row]
                                   for row in mesh.labels(prob, frame.mu0)])
         return mesh
@@ -234,11 +242,10 @@ class SurfaceMesh:
         return self._boundary & ~self.changing
 
     def labels(self, prob: EnergyProblem, mu0: float) -> np.ndarray:
-        nr, nt = self.images.shape[:2]
-        out = np.empty((nr, nt), dtype=object)
-        for i in range(nr):
-            for k in range(nt):
-                out[i, k] = region_of(prob.space, self.images[i, k], mu0)
+        """(nr, nt) object array of the images' region labels."""
+        out = np.empty(self.images.shape[:2], dtype=object)
+        for idx in np.ndindex(out.shape):
+            out[idx] = region_of(prob.space, self.images[idx], mu0)
         return out
 
     def energies(self, prob: EnergyProblem) -> np.ndarray:

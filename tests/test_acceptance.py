@@ -193,8 +193,9 @@ def test_acceptance_3_projection_suite(space_63, rng):
 
 
 def test_acceptance_4_schauder_check(quartic_127):
-    mu0 = nf.fit_mu0(quartic_127, np.random.default_rng(1))
-    rep_p, rep_m = nf.check_schauder(quartic_127, mu0, 250,
+    fit = nf.fit_mu0(quartic_127, np.random.default_rng(1))
+    mu0 = fit.mu0
+    rep_p, rep_m = nf.check_schauder(quartic_127, mu0, fit.c, 250,
                                      np.random.default_rng(2))
     n_samples = rep_p.n_samples + rep_m.n_samples
     assert n_samples >= 500
@@ -209,7 +210,7 @@ def test_acceptance_4_schauder_check(quartic_127):
 
 def test_acceptance_5_flow_invariance(quartic_127, rng):
     space = quartic_127.space
-    mu0 = nf.fit_mu0(quartic_127, np.random.default_rng(1))
+    mu0 = nf.fit_mu0(quartic_127, np.random.default_rng(1)).mu0
     cfg = nf.FlowConfig(mu0=mu0, tol_m=1e-6, t_max=40.0)
     worst_excess = -np.inf
     for sign in (1, -1):

@@ -62,8 +62,21 @@ def test_parse_start(space_63, tmp_path):
     path = tmp_path / "field.csv"
     path.write_text(nf.field_to_csv(space_63, u))
     assert np.array_equal(parse_start(space_63, str(path)), u)
-    with pytest.raises(ConfigError):
-        parse_start(space_63, "nonsense")
+    # a coefficient needs a digit, so these are unrecognized starts
+    for name in ("nonsense", ".phi1", "e5*phi1", "+.phi2"):
+        with pytest.raises(ConfigError):
+            parse_start(space_63, name)
+
+
+@pytest.mark.parametrize("command", ["flow", "verify"])
+def test_start_coefficient_without_a_digit_exits_2(tmp_path, capsys, command):
+    path, _ = small_config(tmp_path, mu0=0.3,
+                           grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 15})
+    out = tmp_path / "never"
+    assert main([command, "--config", path, "--start", "e5*phi1", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -82,7 +95,7 @@ def test_invalid_potential_exits_2(tmp_path, capsys):
 
 
 def test_projection_failure_exits_4(tmp_path, capsys, monkeypatch):
-    def failing_fit(prob, rng, **kwargs):
+    def failing_fit(prob, rng):
         raise ProjectionError("KKT residual 1.000e+00 above tolerance 1.0e-09")
 
     monkeypatch.setattr("nodalflow.cli.fit_mu0", failing_fit)
@@ -110,6 +123,39 @@ def test_run_log_says_where_the_auto_mu0_came_from(tmp_path, potential, lam, sou
     assert re.fullmatch(source, line.group(2))
     mu0 = json.loads((tmp_path / "out" / "invariance_report.json").read_text())["mu0"]
     assert line.group(1) == f"{mu0:.6g}"
+
+
+@pytest.mark.parametrize("mu0", ["auto", 0.3])
+def test_one_fit_of_the_constants_per_solve(tmp_path, monkeypatch, mu0):
+    # fit_mu0 fits C once per sign, also for a given mu0, and check_schauder
+    # validates those constants instead of fitting its own
+    calls = []
+    fit_constant = nf.cones._fit_constant
+
+    def counting(*args):
+        calls.append(1)
+        return fit_constant(*args)
+
+    monkeypatch.setattr(nf.cones, "_fit_constant", counting)
+    path, _ = small_config(tmp_path, mu0=mu0,
+                           grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 31})
+    assert main(["solve", "--config", path]) == 0
+    assert len(calls) == 2
+
+
+def test_the_check_validates_the_constants_that_chose_mu0(tmp_path):
+    path, _ = small_config(tmp_path, potential="power:3", **{"lambda": 100.0},
+                           grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 31})
+    main(["solve", "--config", path])
+    log = (tmp_path / "out" / "run.log").read_text()
+    c, mu_star = re.search(r"auto mu0 = \S+ \(fit: C = (\S+), mu\* = ([^,)]+)", log).groups()
+    report = json.loads((tmp_path / "out" / "invariance_report.json").read_text())
+    fitted = max(report["plus"]["fitted_c"], report["minus"]["fitted_c"])
+    assert f"{fitted:.6g}" == c
+    # mu* = (1/(6C))^(1/(q-2)) for the larger C, and mu0 = mu*/2 below the 0.9 cap
+    mu_star_fit = (1.0 / (6.0 * fitted)) ** (1.0 / (3.0 - 2.0))
+    assert f"{mu_star_fit:.6g}" == mu_star
+    assert report["mu0"] == 0.5 * min(0.9, mu_star_fit)
 
 
 @pytest.mark.parametrize("n, potential", [(63, "two_slope:1,2"), (223, "power:4")])
@@ -232,13 +278,12 @@ def test_minimax_report_brackets_the_certified_energy(tmp_path):
 
 
 def test_screened_labels_leave_solve_artifacts_unchanged(tmp_path, monkeypatch):
-    # region_of decides most labels by distance bounds; projecting every one
-    # instead must give the same bytes
+    # region_of (and the checker's sample acceptance) decide most labels by
+    # distance bounds; projecting every one instead must give the same bytes
     path, _ = small_config(tmp_path)
     screened, projected = tmp_path / "screened", tmp_path / "projected"
     assert main(["solve", "--config", path, "--out", str(screened)]) == 0
-    monkeypatch.setattr(nf.cones, "_within", lambda space, u, sign, mu:
-                        nf.project_cone(space, u, sign).distance <= mu)
+    monkeypatch.setattr(nf.cones._ConeDistance, "within", lambda self, mu: self.exact <= mu)
     assert main(["solve", "--config", path, "--out", str(projected)]) == 0
     names = sorted(p.name for p in screened.iterdir() if p.suffix in (".csv", ".json"))
     assert "solution.csv" in names and names == sorted(p.name for p in projected.iterdir()

@@ -129,8 +129,8 @@ def test_schauder_small_lambda_ratio_shrinks(space_63, rng):
     # the image scales with lambda, so its cone distance vanishes as lambda -> 0
     big = nf.EnergyProblem(space_63, nf.power_potential(4), 1.0)
     small = nf.EnergyProblem(space_63, nf.power_potential(4), 1e-4)
-    rep_b, _ = nf.check_schauder(big, 0.4, 30, np.random.default_rng(5))
-    rep_s, _ = nf.check_schauder(small, 0.4, 30, np.random.default_rng(5))
+    rep_b, _ = nf.check_schauder(big, 0.4, (0.0, 0.0), 30, np.random.default_rng(5))
+    rep_s, _ = nf.check_schauder(small, 0.4, (0.0, 0.0), 30, np.random.default_rng(5))
     assert rep_s.worst_ratio <= max(rep_b.worst_ratio, 1e-12)
     assert rep_s.worst_ratio <= 1e-4
 
@@ -145,9 +145,9 @@ def test_schauder_interior_eigenfield_image(quartic_63, space_63):
 
 
 def test_schauder_benchmark_passes(quartic_63, rng):
-    mu0 = nf.fit_mu0(quartic_63, np.random.default_rng(1))
-    assert 0 < mu0 < 1
-    rep_p, rep_m = nf.check_schauder(quartic_63, mu0, 60, rng)
+    fit = nf.fit_mu0(quartic_63, np.random.default_rng(1))
+    assert 0 < fit.mu0 < 1
+    rep_p, rep_m = nf.check_schauder(quartic_63, fit.mu0, fit.c, 60, rng)
     for rep in (rep_p, rep_m):
         assert rep.passed
         assert rep.worst_ratio <= 0.5 + 1e-6
@@ -322,14 +322,14 @@ CHECKER_PROBLEMS = [("power:4", 1.0), ("power:4", 16.0), ("two_slope:1,2", 1.0),
 def _checker_run(prob, seed, mu0_probe):
     """fit_mu0, check_schauder at the fitted and at a given mu0, and
     build_frame, from fixed streams."""
-    mu0 = nf.fit_mu0(prob, np.random.default_rng(seed), sample_count=24)
-    reports = [dumps(rep.to_dict()) for m in (mu0, mu0_probe)
-               for rep in nf.check_schauder(prob, m, 12, np.random.default_rng(seed + 1))]
+    fit = nf.fit_mu0(prob, np.random.default_rng(seed))
+    reports = [dumps(rep.to_dict()) for m in (fit.mu0, mu0_probe)
+               for rep in nf.check_schauder(prob, m, fit.c, 12, np.random.default_rng(seed + 1))]
     try:
-        frame = nf.build_frame(prob, mu0, nf.ScanConfig(), np.random.default_rng(seed + 2))
+        frame = nf.build_frame(prob, fit.mu0, nf.ScanConfig(), np.random.default_rng(seed + 2))
     except nf.NoLinkingWindow as exc:
         frame = str(exc)
-    return mu0, reports, frame
+    return fit, reports, frame
 
 
 def _projecting_every_comparison(monkeypatch):
@@ -358,11 +358,11 @@ def test_screened_checker_equals_the_projecting_one(geometry, problem, seed, mu0
     # inequality for some streams, so both outcomes of each test are compared
     spec, lam = problem
     prob = nf.EnergyProblem(CHECKER_SPACES[geometry], parse_potential(spec), lam)
-    mu0, reports, frame = _checker_run(prob, seed, mu0_probe)
+    fit, reports, frame = _checker_run(prob, seed, mu0_probe)
     with pytest.MonkeyPatch.context() as mp:
         _projecting_every_comparison(mp)
-        mu0_all, reports_all, frame_all = _checker_run(prob, seed, mu0_probe)
-    assert mu0 == mu0_all and reports == reports_all
+        fit_all, reports_all, frame_all = _checker_run(prob, seed, mu0_probe)
+    assert fit == fit_all and reports == reports_all
     assert _same_frame(frame, frame_all)
 
 
@@ -397,8 +397,9 @@ def test_checker_decides_each_comparison_as_a_projection_would(seed, sign, mu0):
             mp.setattr(cones, "_boundary_samples",
                        lambda prob, sign, distances, *args: samples[len(distances) == 1])
             mp.setattr(cones, "_selection_images", lambda prob, u, rng: images[u.tobytes()])
-            return (cones._fit_constant(prob, sign, 1, rng),
-                    [dumps(rep.to_dict()) for rep in nf.check_schauder(prob, mu0, 1, rng)])
+            fit = nf.fit_mu0(prob, rng)
+            reports = nf.check_schauder(prob, mu0, fit.c, 1, rng)
+            return fit, [dumps(rep.to_dict()) for rep in reports]
 
     screened = run()
     with pytest.MonkeyPatch.context() as mp:
@@ -409,8 +410,8 @@ def test_checker_decides_each_comparison_as_a_projection_would(seed, sign, mu0):
 def test_some_checker_problem_fits_a_positive_constant():
     # the screen is also checked where the fitted C and mu0 are not trivial
     prob = nf.EnergyProblem(CHECKER_SPACES["1d"], parse_potential("power:3"), 100.0)
-    mu0 = nf.fit_mu0(prob, np.random.default_rng(0), sample_count=24)
-    assert 0 < mu0 < 0.45
+    fit = nf.fit_mu0(prob, np.random.default_rng(0))
+    assert 0 < fit.mu0 < 0.45
 
 
 @settings(max_examples=60)

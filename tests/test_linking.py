@@ -13,7 +13,7 @@ from oracles import shooting_sign_changing
 @pytest.fixture(scope="module")
 def frame_63(quartic_63):
     rng = np.random.default_rng(7)
-    mu0 = nf.fit_mu0(quartic_63, rng)
+    mu0 = nf.fit_mu0(quartic_63, rng).mu0
     return mu0, nf.build_frame(quartic_63, mu0, nf.ScanConfig(), rng)
 
 
@@ -68,6 +68,33 @@ def test_surface_mesh_boundary_contracts(quartic_63, frame_63):
                 assert labels[i, k] is nf.RegionLabel.SIGN_CHANGING
             if mesh.wcon[i, k]:
                 assert labels[i, k] is not nf.RegionLabel.SIGN_CHANGING
+
+
+@pytest.mark.parametrize("grid", [nf.GridSpec.interval(0.0, 1.0, 63),
+                                  nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (39, 19))])
+def test_surface_block_equals_q_point_bit_for_bit(grid):
+    # the surface and the alpha boundary are built as blocks; each point keeps
+    # the bits of q_point and of the point-by-point formula it replaced
+    space = nf.build_space(grid)
+    (lam1, phi1), (lam2, phi2) = space.eigenpairs(2)
+    frame = nf.LinkingFrame(phi1, phi2, lam1, lam2, np.sqrt(61.0), 1.0, 0.3)
+    hat1, hat2 = phi1 / np.sqrt(lam1), phi2 / np.sqrt(lam2)
+
+    def same_bits(point, rho, theta):
+        reference = rho * frame.radius * (np.cos(theta) * hat1 + np.sin(theta) * hat2)
+        return point.tobytes() == frame.q_point(rho, theta).tobytes() == reference.tobytes()
+
+    prob = nf.EnergyProblem(space, nf.power_potential(4), 1.0)
+    mesh = SurfaceMesh.identity_embedding(prob, frame, 7, 25)
+    for i, r in enumerate(mesh.rho):
+        for k, th in enumerate(mesh.theta):
+            assert same_bits(mesh.images[i, k], r, th)
+    theta = np.linspace(0.0, np.pi, 96)
+    block = frame.q_points(theta / np.pi, [0.0, np.pi])
+    for i, th in enumerate(theta):
+        for k, end in enumerate((0.0, np.pi)):
+            assert same_bits(block[i, k], th / np.pi, end)
+    assert all(same_bits(u, 1.0, th) for u, th in zip(frame.q_points([1.0], theta)[0], theta))
 
 
 def test_deform_surface_contracts(quartic_63, frame_63):
