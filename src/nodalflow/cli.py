@@ -78,8 +78,11 @@ class _Run:
         self._clock("write")
 
     def open(self):
-        os.makedirs(self.outdir, exist_ok=True)
-        self._write(self._log_path, "w", f"# config_hash={self.cfg.hash}\n")
+        try:
+            os.makedirs(self.outdir, exist_ok=True)
+            self._write(self._log_path, "w", f"# config_hash={self.cfg.hash}\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write to output directory {self.outdir!r}: {exc}") from exc
 
     def log(self, message: str):
         self._write(self._log_path, "a",
@@ -135,7 +138,7 @@ def read_checkpoint(space, path: str) -> Checkpoint:
     """The committed states of a checkpoint named on the command line.
 
     A missing or unreadable file, one with no commit, and a state whose field
-    does not fit the grid are config errors.
+    does not fit the grid or is not finite are config errors.
     """
     try:
         checkpoint = load_checkpoint(path, space)
@@ -143,6 +146,8 @@ def read_checkpoint(space, path: str) -> Checkpoint:
             space.check_field(s.u)
     except (OSError, ValueError, MeshError) as exc:
         raise ConfigError(f"bad checkpoint {path!r}: {exc}") from exc
+    if not all(np.isfinite(s.u).all() for s in checkpoint.states):
+        raise ConfigError(f"bad checkpoint {path!r}: a committed field is not finite")
     return checkpoint
 
 
@@ -389,7 +394,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
-        if args.seed is not None:
+        if args.seed is not None and isinstance(raw, dict):   # load_config rejects the rest
             raw["seed"] = args.seed
         cfg = load_config(raw)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:

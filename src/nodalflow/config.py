@@ -218,7 +218,9 @@ def load_config(source: str | dict) -> RunConfig:
         scan = ScanConfig(**scan)
     except ValueError as exc:
         raise ConfigError(f"bad solver config: {exc}") from exc
-    return RunConfig(raw, grid, potential, lam, mu0,
-                     _value(raw["seed"], types["seed"], "seed"),
+    seed = _value(raw["seed"], types["seed"], "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return RunConfig(raw, grid, potential, lam, mu0, seed,
                      _value(raw["output_dir"], types["output_dir"], "output_dir"),
                      flow, scan, minimax, tolerances["schauder_samples"], snapshots)

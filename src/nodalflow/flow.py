@@ -36,6 +36,9 @@ from .energy import EnergyProblem, SlopeResult, energy, slope
 from .mesh import DiscreteSpace
 
 ARMIJO_C1 = 1e-4
+DT0 = 0.05       # first step of a fresh flow
+DT_MIN = 1e-12   # a step below this fails the flow
+DT_MAX = 0.5     # step ceiling
 ENERGY_SLACK = 5e-14   # relative rounding slack of an energy comparison
 DISP_CAP = 0.5   # per-step displacement bound: dt <= DISP_CAP/(1+||u||)
 INTERNAL = {"internal": True}   # field metadata: set by the solver, not by a config
@@ -53,9 +56,6 @@ class Termination(str, Enum):
 @dataclass(frozen=True)
 class FlowConfig:
     mu0: float = field(default=0.25, metadata=INTERNAL)
-    dt0: float = 0.05
-    dt_min: float = 1e-12
-    dt_max: float = 0.5
     tol_m: float = 1e-6
     t_max: float = 50.0
     max_steps: int = 20000
@@ -63,8 +63,6 @@ class FlowConfig:
     checkpoint_every: int | None = None
 
     def __post_init__(self):
-        if not self.dt_min <= self.dt0 <= self.dt_max:
-            raise ValueError("need dt_min <= dt0 <= dt_max")
         if self.tol_m <= 0:
             raise ValueError("tol_m must be positive")
 
@@ -182,7 +180,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
 
     A step from u with field v(u) is accepted only if the energy drops by at
     least ARMIJO_C1 * dt * m(u)^2/(1+||u||); dt halves on rejection and grows
-    1.5x on acceptance within [dt_min, cap].
+    1.5x on acceptance within [DT_MIN, cap].
     """
     space = prob.space
     warm: dict = {}
@@ -201,7 +199,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
     else:
         u0 = space.check_field(u0)
         states = [_make_state(prob, u0, 0.0, 0.0, config.mu0, warm)]
-        dt = config.dt0
+        dt = DT0
 
     termination = None
     while True:
@@ -223,15 +221,15 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
 
         # ||v|| <= (1+||u||), so the displacement cap bounds each step's arc
         # length; trajectories then track the flow through saddle regions
-        cap = min(config.dt_max, DISP_CAP / (1.0 + norm_u))
+        cap = min(DT_MAX, DISP_CAP / (1.0 + norm_u))
         if s.label is not RegionLabel.SIGN_CHANGING:
             # keeps each accepted step a convex combination with the
             # invariance displacement, so cone neighborhoods stay invariant
             cap = min(cap, 1.0 / (1.0 + norm_u))
-        dt = min(max(dt, config.dt_min), cap)
+        dt = min(max(dt, DT_MIN), cap)
 
         accepted = False
-        while dt >= config.dt_min:
+        while dt >= DT_MIN:
             trial = s.u - dt * v
             a_trial = space.A @ trial
             j_trial = energy(prob, trial, a_trial)
@@ -247,7 +245,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
 
         new = _make_state(prob, trial, s.t + dt, dt, config.mu0, warm, j_trial, a_trial)
         states.append(new)
-        dt = min(dt * 1.5, config.dt_max)
+        dt = min(dt * 1.5, DT_MAX)
         if (checkpoint_path and config.checkpoint_every
                 and (len(states) - 1) % config.checkpoint_every == 0):
             save_checkpoint(checkpoint_path, states, dt, saved)

@@ -33,6 +33,14 @@ from .flow import (ENERGY_SLACK, INTERNAL, FlowConfig, Termination, _make_state,
 from .mesh import DiscreteSpace
 
 T_MODES = 8          # T directions are drawn from the first T_MODES eigenfields past phi1
+RADIUS_MARGIN = 1.15   # R is the first scanned radius with J < 0 on its arc, times this
+N_DIRECTIONS = 32      # T directions sampled by the scan
+CONE_MARGIN = 1.05     # an admissible T clears the cone neighborhoods by this factor
+RETRY_BUDGET = 4       # surface points the extraction starts from, highest J first
+BISECT_ROUNDS = 40     # rounds of one separatrix bisection
+CLASSIFY_T_CHUNK = 2.0     # flow time of one classification chunk
+CLASSIFY_MAX_CHUNKS = 8    # chunks before a descent is left unresolved
+MESH_TOL = 1e-2        # floor of the surface's J-resolution at the maximizer
 # what the separatrix extraction counts: bisection rounds, Newton attempts,
 # and corrected points rejected by region label and by energy window
 EXTRACTION_COUNTS = ("rounds", "newton", "off_label", "off_window")
@@ -61,11 +69,8 @@ class InvarianceViolation(RuntimeError):
 @dataclass(frozen=True)
 class ScanConfig:
     radius_grid: tuple[float, ...] = tuple(float(r) for r in np.geomspace(1.0, 200.0, 40))
-    radius_margin: float = 1.15
     n_theta: int = 64
     delta_grid: tuple[float, ...] = tuple(float(d) for d in np.geomspace(0.05, 25.0, 48))
-    n_directions: int = 32
-    cone_margin: float = 1.05
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,7 @@ def build_frame(prob: EnergyProblem, mu0: float, scan: ScanConfig,
     for r in scan.radius_grid:
         radius_profile[r] = arc_max(r)
         if radius_profile[r] < 0.0:
-            cand = r * scan.radius_margin
+            cand = r * RADIUS_MARGIN
             if arc_max(cand) < 0.0:
                 radius = cand
                 break
@@ -154,7 +159,7 @@ def build_frame(prob: EnergyProblem, mu0: float, scan: ScanConfig,
             "no radius with negative energy on the eigen-plane arc",
             {"radius_profile": radius_profile})
 
-    dirs = _v_directions(space, phi1, scan.n_directions, rng)
+    dirs = _v_directions(space, phi1, N_DIRECTIONS, rng)
     # cone distances are positively homogeneous: evaluate once at unit scale
     unit_dist = min_dist_to_cones(space, dirs)
     dir_block = np.array(dirs)
@@ -165,7 +170,7 @@ def build_frame(prob: EnergyProblem, mu0: float, scan: ScanConfig,
             continue
         min_j = float(np.min(energies(prob, delta * dir_block)))
         delta_profile[delta] = min_j
-        if min_j > 0.0 and delta * unit_dist > mu0 * scan.cone_margin:
+        if min_j > 0.0 and delta * unit_dist > mu0 * CONE_MARGIN:
             feasible.append(delta)
     if not feasible:
         raise NoLinkingWindow(
@@ -180,12 +185,13 @@ def build_frame(prob: EnergyProblem, mu0: float, scan: ScanConfig,
 def estimate_alpha_beta(prob: EnergyProblem, frame: LinkingFrame,
                         rng: np.random.Generator, n_arc: int = 96,
                         n_t: int = 64) -> tuple[float, float]:
-    """alpha = max J over the sign-changing part of dQ, beta = min J over T."""
+    """alpha = max J over the sign-changing part of dQ, beta = min J over T.
+
+    Only the radius-R arc is labelled: the bottom segment of dQ is the
+    multiples of phi1^, and phi1 > 0 puts them in the cones."""
     space = prob.space
-    theta = np.linspace(0.0, np.pi, n_arc)
-    bottom = frame.q_points(theta / np.pi, [0.0, np.pi]).reshape(-1, space.dim)
-    boundary = np.concatenate([frame.q_points([1.0], theta)[0], bottom])  # arc, bottom
-    changing = [u for u in boundary
+    arc = frame.q_points([1.0], np.linspace(0.0, np.pi, n_arc))[0]
+    changing = [u for u in arc
                 if region_of(space, u, frame.mu0) is RegionLabel.SIGN_CHANGING]
     beta = float(np.min(energies(prob, sample_t_sphere(space, frame, n_t, rng))))
     if not changing:
@@ -293,11 +299,6 @@ def deform_surface(prob: EnergyProblem, mesh: SurfaceMesh,
 class MinimaxConfig:
     nr: int = 7
     nt: int = 25
-    retry_budget: int = 4
-    bisect_rounds: int = 40
-    classify_t_chunk: float = 2.0
-    classify_max_chunks: int = 8
-    mesh_tol: float = 1e-2
     flow: FlowConfig = field(default_factory=FlowConfig, metadata=INTERNAL)
 
 
@@ -316,7 +317,6 @@ class MinimaxReport:
     candidate_slope: float
     label: RegionLabel | None
     converged: bool
-    wrong_region_events: int = 0
     mesh_tolerance: float = 0.0   # J-resolution of the surface mesh at the maximizer
     candidate_energy: float | None = None   # J(candidate); not part of to_dict
     # EXTRACTION_COUNTS of all bisections; for the log, not part of to_dict
@@ -349,7 +349,6 @@ class MinimaxReport:
             "candidate_slope": self.candidate_slope,
             "label": None if self.label is None else self.label.value,
             "converged": self.converged,
-            "wrong_region_events": self.wrong_region_events,
             "mesh_tolerance": self.mesh_tolerance,
             "q_interpretation": "span construction: first eigen-plane half disk",
         }
@@ -367,12 +366,12 @@ def _classify_descent(prob: EnergyProblem, u0: np.ndarray, cfg: MinimaxConfig,
     sign-changing critical point at the linking level; the floor screens out
     approaches to low-energy attractors).
     """
-    base = replace(cfg.flow, mu0=mu0, t_max=cfg.classify_t_chunk, j_floor=floor_j,
+    base = replace(cfg.flow, mu0=mu0, t_max=CLASSIFY_T_CHUNK, j_floor=floor_j,
                    max_steps=min(cfg.flow.max_steps, 6000))
     u = u0
     dip = None
     dip_val = np.inf
-    for _ in range(cfg.classify_max_chunks):
+    for _ in range(CLASSIFY_MAX_CHUNKS):
         traj = integrate_flow(prob, u, base)
         kind = None
         for s in traj.states:
@@ -442,7 +441,7 @@ def _newton_polish(prob: EnergyProblem, u0: np.ndarray, tol_m: float,
     return None
 
 
-def _bisect_separatrix(prob, a, b, class_a, class_b, cfg, mu0, floor_j,
+def _bisect_separatrix(prob, a, b, class_a, cfg, mu0, floor_j,
                        dip_floor: float = -np.inf, counts: dict | None = None):
     """Bisect the segment [a, b] across the descent separatrix.
 
@@ -451,14 +450,14 @@ def _bisect_separatrix(prob, a, b, class_a, class_b, cfg, mu0, floor_j,
     that parks at slope tolerance, or at the first corrected point that is
     sign-changing with energy in [dip_floor, J(dip)]: a descending trajectory
     only approaches critical points below it.  Returns None when neither
-    comes within ``cfg.bisect_rounds`` rounds.  ``counts``, when given,
+    comes within BISECT_ROUNDS rounds.  ``counts``, when given,
     accumulates the rounds run, the Newton attempts, and the corrected points
     rejected by label and by energy window.
     """
     counts = dict.fromkeys(EXTRACTION_COUNTS, 0) if counts is None else counts
     lo, hi = a, b
     best_val = np.inf
-    for _ in range(cfg.bisect_rounds):
+    for _ in range(BISECT_ROUNDS):
         counts["rounds"] += 1
         mid = 0.5 * (lo + hi)
         kind, state, dip = _classify_descent(prob, mid, cfg, mu0, floor_j, dip_floor)
@@ -496,7 +495,6 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
     ``snapshot(0, mesh)``, when given, is called once with the surface
     (plot-ready via ``SurfaceMesh.to_csv``).
     """
-    space = prob.space
     alpha, beta = estimate_alpha_beta(prob, frame, rng)
     mesh = SurfaceMesh.identity_embedding(prob, frame, cfg.nr, cfg.nt)
     mu0 = frame.mu0
@@ -517,14 +515,14 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
     param = (float(mesh.rho[i]), float(mesh.theta[k]))
     neighbor_js = [js[i + di, k + dk] for di, dk in ((1, 0), (-1, 0), (0, 1), (0, -1))
                    if 0 <= i + di < cfg.nr and 0 <= k + dk < cfg.nt]
-    mesh_tolerance = max(cfg.mesh_tol,
+    mesh_tolerance = max(MESH_TOL,
                          max(abs(js[i, k] - jn) for jn in neighbor_js))
     r_estimates = [float(masked.ravel()[flat])]
 
-    # extraction: bisect the maximizer across the descent separatrix
-    order = np.argsort(-masked, axis=None)
-    wrong_region = 0
-    candidate_state = None
+    # extraction: bisect the maximizer across the descent separatrix; every
+    # state it can end on is sign-changing (a descent that leaves the
+    # sign-changing region is classified "cone", and a bisection returns only
+    # such a descent's end or a corrected point it checked)
     counts = dict.fromkeys(EXTRACTION_COUNTS, 0)
     class_cache: dict[tuple[int, int], tuple[str, object]] = {}
 
@@ -534,59 +532,42 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
                                                  mu0, floor_j, dip_floor=beta)
         return class_cache[idx]
 
-    def accept(found) -> bool:
-        nonlocal candidate_state, wrong_region
-        if found is None:
-            return False
-        if found.label is RegionLabel.SIGN_CHANGING:
-            candidate_state = found
-            return True
-        wrong_region += 1
-        return False
-
-    tried = 0
-    for flat in order:
-        if tried >= cfg.retry_budget or masked.ravel()[flat] == -np.inf:
-            break
-        tried += 1
-        i, k = np.unravel_index(int(flat), masked.shape)
-        kind, state, dip = classify_at((i, k))
-        if kind == "done":
-            if accept(state):
-                break
-            continue
-        if kind == "unresolved":
-            continue
-        # walk the scaling column, then the angular row, for a partner whose
-        # descent lands in the other basin; the straight segment between the
-        # two images then crosses the separatrix
-        partners = ([(i + d, k) for d in range(1, cfg.nr) if 0 <= i + d < cfg.nr]
-                    + [(i - d, k) for d in range(1, cfg.nr) if 0 <= i - d < cfg.nr]
-                    + [(i, k + d) for d in range(1, cfg.nt) if 0 <= k + d < cfg.nt]
-                    + [(i, k - d) for d in range(1, cfg.nt) if 0 <= k - d < cfg.nt])
-        for idx in partners:
-            pkind, pstate, _ = classify_at(idx)
-            if pkind == "done":
-                if accept(pstate):
-                    break
+    def extract():
+        for flat in np.argsort(-masked, axis=None)[:RETRY_BUDGET]:
+            if masked.ravel()[flat] == -np.inf:
+                return None
+            i, k = np.unravel_index(int(flat), masked.shape)
+            kind, state, _ = classify_at((i, k))
+            if kind == "done":
+                return state
+            if kind == "unresolved":
                 continue
-            if pkind == "unresolved" or pkind == kind:
-                continue
-            found = _bisect_separatrix(prob, mesh.images[i, k], mesh.images[idx],
-                                       kind, pkind, cfg, mu0, floor_j,
-                                       dip_floor=beta, counts=counts)
-            if accept(found):
-                break
-        if candidate_state is not None:
-            break
+            # walk the scaling column, then the angular row, for a partner whose
+            # descent lands in the other basin; the straight segment between the
+            # two images then crosses the separatrix
+            partners = ([(i + d, k) for d in range(1, cfg.nr) if 0 <= i + d < cfg.nr]
+                        + [(i - d, k) for d in range(1, cfg.nr) if 0 <= i - d < cfg.nr]
+                        + [(i, k + d) for d in range(1, cfg.nt) if 0 <= k + d < cfg.nt]
+                        + [(i, k - d) for d in range(1, cfg.nt) if 0 <= k - d < cfg.nt])
+            for idx in partners:
+                pkind, pstate, _ = classify_at(idx)
+                if pkind == "done":
+                    return pstate
+                if pkind == "unresolved" or pkind == kind:
+                    continue
+                found = _bisect_separatrix(prob, mesh.images[i, k], mesh.images[idx],
+                                           kind, cfg, mu0, floor_j,
+                                           dip_floor=beta, counts=counts)
+                if found is not None:
+                    return found
+        return None
 
+    candidate_state = extract()
     if candidate_state is None:
         return MinimaxReport(alpha, beta, r_estimates, param, maximizer, None,
-                             float("nan"), None, False, wrong_region,
-                             mesh_tolerance, None, counts)
+                             float("nan"), None, False, mesh_tolerance, None, counts)
     final_slope = slope(prob, candidate_state.u).value
-    label = region_of(space, candidate_state.u, mu0)
-    converged = final_slope <= cfg.flow.tol_m and label is RegionLabel.SIGN_CHANGING
     return MinimaxReport(alpha, beta, r_estimates, param, maximizer,
-                         candidate_state.u.copy(), final_slope, label, converged,
-                         wrong_region, mesh_tolerance, candidate_state.j, counts)
+                         candidate_state.u.copy(), final_slope, candidate_state.label,
+                         final_slope <= cfg.flow.tol_m, mesh_tolerance,
+                         candidate_state.j, counts)

@@ -288,4 +288,6 @@ def field_from_csv(space: DiscreteSpace, text: str) -> np.ndarray:
     if header[-1] != "value":
         raise MeshError("field CSV must end with a 'value' column")
     vals = np.array([float(row[-1]) for row in reader])
+    if not np.isfinite(vals).all():
+        raise MeshError("field CSV values must be finite")
     return space.check_field(vals)

@@ -79,10 +79,42 @@ def test_start_coefficient_without_a_digit_exits_2(tmp_path, capsys, command):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["config", "command_line"])
+def test_negative_seed_exits_2_without_output(tmp_path, capsys, where):
+    path, _ = small_config(tmp_path, seed=-3 if where == "config" else 11)
+    out = tmp_path / "never"
+    seed = ["--seed", "-1"] if where == "command_line" else []
+    assert main(["solve", "--config", path, *seed, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "flow", "verify", "spectrum"])
+def test_unwritable_output_directory_exits_2(tmp_path, capsys, monkeypatch, command):
+    # an empty output_dir with no --out, an --out naming a file, and an --out
+    # whose run.log is a directory
+    path, _ = small_config(tmp_path, mu0=0.3, output_dir="",
+                           grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 15})
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    (tmp_path / "taken" / "run.log").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    for out in ([], ["--out", str(blocker)], ["--out", str(tmp_path / "taken")]):
+        assert main([command, "--config", path, *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before and blocker.read_text() == "kept"
+    assert os.listdir(tmp_path / "taken") == ["run.log"]
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["solve", "--config", str(bad)]) == 2
+    bad.write_text("[1, 2]")
+    assert main(["solve", "--config", str(bad), "--seed", "3"]) == 2
     missing = tmp_path / "missing.json"
     assert main(["solve", "--config", str(missing)]) == 2
 
@@ -244,10 +276,9 @@ def test_solve_logs_the_extraction_counts(tmp_path):
     assert len(lines) == 1
     rounds, newton, off_label, off_window = map(int, lines[0])
     assert off_label + off_window <= newton <= rounds and rounds >= 1
-    # the counts stay out of the report, whose rejected polishes are not
-    # wrong-region events
+    # the counts stay out of the report
     report = json.loads((out / "minimax_report.json").read_text())
-    assert report["wrong_region_events"] == 0 and "extraction" not in report
+    assert "extraction" not in report
 
 
 def test_minimax_report_brackets_the_certified_energy(tmp_path):
@@ -259,7 +290,7 @@ def test_minimax_report_brackets_the_certified_energy(tmp_path):
     assert set(report) == {
         "alpha", "beta", "r_estimates", "r_final", "level_bracket", "level_consistent",
         "maximizer_param", "candidate_slope", "label", "converged",
-        "wrong_region_events", "mesh_tolerance", "q_interpretation", "config_hash"}
+        "mesh_tolerance", "q_interpretation", "config_hash"}
     # one labelling of the identity surface: one sup, no deformation rounds
     assert report["r_estimates"] == [report["r_final"]]
     assert report["level_bracket"] == [report["beta"],
@@ -436,17 +467,21 @@ def test_flow_verdict_keys(tmp_path):
 
 def _bad_checkpoint(tmp_path, case):
     """A missing file, rows with no commit, a 63-node field for a 15-node grid,
-    or a 15-node field written as a decimal list or as text that is not base64."""
+    a 15-node field written as a decimal list or as text that is not base64, or
+    a committed 15-node field holding a NaN."""
     path = tmp_path / f"{case}.json"
     if case == "missing":
         return path
-    n = 15 if case in ("decimal_list", "bad_base64") else 63
-    state = nf.FlowState(0.0, np.zeros(n), 0.0, 0.0, 0.0, 0.0, nf.RegionLabel.OVERLAP, 0.0)
+    n = 15 if case in ("decimal_list", "bad_base64", "non_finite") else 63
+    u = np.zeros(n)
+    if case == "non_finite":
+        u[3] = np.nan
+    state = nf.FlowState(0.0, u, 0.0, 0.0, 0.0, 0.0, nf.RegionLabel.OVERLAP, 0.0)
     save_checkpoint(str(path), [state], 0.05)
     row, commit = path.read_text().splitlines(keepends=True)
     if case == "uncommitted":
         path.write_text(row)
-    elif n == 15:
+    elif case in ("decimal_list", "bad_base64"):
         fields = json.loads(row)
         fields["u"] = [0.0] * n if case == "decimal_list" else "?" * len(fields["u"])
         path.write_text(json.dumps(fields, sort_keys=True) + "\n" + commit)
@@ -455,7 +490,7 @@ def _bad_checkpoint(tmp_path, case):
 
 @pytest.mark.parametrize("command", ["flow", "verify"])
 @pytest.mark.parametrize("case", ["missing", "uncommitted", "wrong_length",
-                                  "decimal_list", "bad_base64"])
+                                  "decimal_list", "bad_base64", "non_finite"])
 def test_bad_checkpoint_input_exits_2_without_output(tmp_path, capsys, command, case):
     path, _ = small_config(tmp_path, mu0=0.3,
                            grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 15})
@@ -463,6 +498,22 @@ def test_bad_checkpoint_input_exits_2_without_output(tmp_path, capsys, command, 
     flag = "--resume" if command == "flow" else "--start"
     out = tmp_path / "out_dir"
     assert main([command, "--config", path, flag, str(ck), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["flow", "verify"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_csv_exits_2_without_output(tmp_path, capsys, space_63,
+                                                     command, bad):
+    path, _ = small_config(tmp_path, mu0=0.3)
+    u = np.linspace(-1.0, 1.0, 63)
+    u[10] = bad
+    start = tmp_path / "start.csv"
+    start.write_text(nf.field_to_csv(space_63, u))
+    out = tmp_path / "never"
+    assert main([command, "--config", path, "--start", str(start), "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
@@ -580,7 +631,11 @@ def test_unknown_key_in_any_section_rejected(section, key):
     ("linking", "scan", "delta_min"), ("linking", "scan", "delta_max"),
     ("linking", "scan", "n_delta"), ("linking", "max_sweeps"),
     ("linking", "stall_window"), ("linking", "stall_rel"), ("linking", "band_frac"),
-    ("linking", "horizon_cap")])
+    ("linking", "horizon_cap"), ("flow", "dt0"), ("flow", "dt_min"), ("flow", "dt_max"),
+    ("linking", "retry_budget"), ("linking", "bisect_rounds"),
+    ("linking", "classify_t_chunk"), ("linking", "classify_max_chunks"),
+    ("linking", "mesh_tol"), ("linking", "scan", "radius_margin"),
+    ("linking", "scan", "n_directions"), ("linking", "scan", "cone_margin")])
 def test_removed_and_internal_keys_rejected(path):
     cfg = _base_config()
     _set(cfg, path, 0.1)
@@ -632,10 +687,10 @@ _accepted_configs = st.fixed_dictionaries({}, optional={
     "potential": st.sampled_from(["power:4", "power:3.5", "two_slope:1,2", "capped_power:4,2"]),
     "flow": st.fixed_dictionaries({}, optional={
         "tol_m": st.floats(1e-9, 1e-2), "t_max": st.floats(0.1, 100.0),
-        "max_steps": st.integers(1, 10**6), "dt0": st.floats(1e-3, 0.5),
+        "max_steps": st.integers(1, 10**6),
         "checkpoint_every": st.one_of(st.none(), st.integers(1, 100))}),
     "linking": st.fixed_dictionaries({}, optional={
-        "nr": st.integers(2, 20), "mesh_tol": st.floats(0.0, 1.0),
+        "nr": st.integers(2, 20),
         "snapshots": st.booleans(),
         "scan": st.fixed_dictionaries({}, optional={
             "n_theta": st.integers(1, 200),
@@ -711,6 +766,12 @@ def test_flow_start_csv_of_wrong_length_exits_2(tmp_path, capsys, space_63):
     assert not (tmp_path / "flow").exists()
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_readme_config_example_loads():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    example = re.search(r"Example:\n\n```json\n(.*?)```", readme, re.S).group(1)
+    assert load_config(example).raw == _merged(json.loads(example))
 
 
 _README_TYPES = {int: "integer", float: "number", bool: "boolean",

@@ -264,9 +264,9 @@ def odd_ray(quartic_127):
 
 
 def _bisect(prob, odd_ray):
-    a, b, ka, kb, cfg, floor = odd_ray
+    a, b, ka, _, cfg, floor = odd_ray
     counts = dict.fromkeys(EXTRACTION_COUNTS, 0)
-    state = _bisect_separatrix(prob, a, b, ka, kb, cfg, 0.3, -1e5, dip_floor=floor,
+    state = _bisect_separatrix(prob, a, b, ka, cfg, 0.3, -1e5, dip_floor=floor,
                                counts=counts)
     return state, counts
 
@@ -297,7 +297,7 @@ def test_bisection_stops_at_the_first_certified_newton_point(quartic_127, odd_ra
     monkeypatch.setattr(linking, "_newton_polish", lambda prob, u, tol_m:
                         polished.append(u) or None)
     full, full_counts = _bisect(quartic_127, odd_ray)
-    assert full is None and len(dips) == cfg.bisect_rounds
+    assert full is None and len(dips) == linking.BISECT_ROUNDS
     improved, best = [], np.inf
     for dip in dips:
         if dip is not None and (1.0 + dip.norm) * dip.m < best:
@@ -305,7 +305,7 @@ def test_bisection_stops_at_the_first_certified_newton_point(quartic_127, odd_ra
             improved.append(dip.u)
     assert len(polished) == len(improved) == full_counts["newton"]
     assert all(np.array_equal(p, q) for p, q in zip(polished, improved))
-    assert full_counts == dict(rounds=cfg.bisect_rounds, newton=len(improved),
+    assert full_counts == dict(rounds=linking.BISECT_ROUNDS, newton=len(improved),
                                off_label=0, off_window=0)
     # the early stop lands where polishing the best dip of 40 rounds lands
     u_best = _newton_polish(quartic_127, improved[-1], cfg.flow.tol_m)
