@@ -10,10 +10,9 @@ from .energy import (EnergyProblem, PSReport, SetSlopeResult, SlopeResult,
                      slope_on_set, stationarity_residual, subdifferential_box)
 from .flow import (FlowConfig, FlowState, Termination, Trajectory, integrate_flow,
                    monitor_invariance, pseudo_gradient, resume_flow)
-from .linking import (GapViolation, LinkingFrame, MinimaxConfig, MinimaxReport,
-                      NoLinkingWindow, NotConverged, ScanConfig, SurfaceMesh,
-                      build_frame, deform_surface, estimate_alpha_beta,
-                      minimax_iterate, sample_t_sphere)
+from .linking import (GapViolation, LinkingFrame, MinimaxReport, NoLinkingWindow,
+                      NotConverged, SurfaceMesh, build_frame, deform_surface,
+                      estimate_alpha_beta, minimax_iterate, sample_t_sphere)
 from .mesh import (DiscreteSpace, GridSpec, build_space, field_from_csv,
                    field_to_csv, sign_changes)
 from .potential import (ClarkeInterval, HypothesisReport, PiecewisePotential,

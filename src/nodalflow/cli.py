@@ -12,6 +12,7 @@ minimax.  Artifacts carry the hex digest of the canonicalized config text;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -22,7 +23,8 @@ from dataclasses import replace
 import numpy as np
 
 from ._serial import dumps
-from .cones import ConeNeighborhood, ProjectionError, check_schauder, fit_mu0
+from .cones import (SCHAUDER_SAMPLES, ConeNeighborhood, ProjectionError, check_schauder,
+                    fit_mu0)
 from .config import ConfigError, RunConfig, load_config
 from .energy import EnergyProblem, SlopeError, ps_monitor, slope, slope_on_set
 from .flow import (Checkpoint, Termination, integrate_flow, load_checkpoint,
@@ -43,9 +45,10 @@ class _Run:
     """Output directory plus a timestamped log (log excluded from determinism).
 
     Nothing is written until ``open``, which a command calls once its inputs
-    are checked.  ``stage`` names the pipeline stage in progress, for the error
-    report of a numerical failure.  ``seconds`` holds the wall seconds spent
-    in each stage, with the time spent writing files under "write".
+    are checked; a file that cannot be written is a ConfigError.  ``stage``
+    names the pipeline stage in progress, for the error report of a numerical
+    failure.  ``seconds`` holds the wall seconds spent in each stage, with the
+    time spent writing files under "write".
     """
 
     def __init__(self, outdir: str, cfg: RunConfig):
@@ -53,6 +56,7 @@ class _Run:
         self.cfg = cfg
         self._log_path = os.path.join(outdir, "run.log")
         self.seconds: dict[str, float] = {}
+        self.opened = False
         self._stage = "setup"
         self._since = time.perf_counter()
 
@@ -71,28 +75,38 @@ class _Run:
         self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self._since
         self._since = now
 
+    @contextlib.contextmanager
+    def writing(self):
+        """Turn a failed write in the output directory into a ConfigError."""
+        try:
+            yield
+        except OSError as exc:
+            raise ConfigError(f"cannot write to output directory {self.outdir!r}: {exc}") from exc
+
     def _write(self, path: str, mode: str, text: str):
         self._clock(self._stage)
-        with open(path, mode) as fh:
+        with self.writing(), open(path, mode) as fh:
             fh.write(text)
         self._clock("write")
 
     def open(self):
-        try:
+        with self.writing():
             os.makedirs(self.outdir, exist_ok=True)
-            self._write(self._log_path, "w", f"# config_hash={self.cfg.hash}\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write to output directory {self.outdir!r}: {exc}") from exc
+        self._write(self._log_path, "w", f"# config_hash={self.cfg.hash}\n")
+        self.opened = True
 
     def log(self, message: str):
         self._write(self._log_path, "a",
                     f"[{time.strftime('%Y-%m-%dT%H:%M:%S')}] {message}\n")
 
     def log_timings(self, stages: tuple[str, ...]):
-        """One log line with the wall seconds of each of ``stages``."""
+        """One log line with the wall seconds of each of ``stages``, if the log
+        is open; a failed write is ignored."""
         self._clock(self._stage)
-        self.log("stage timings: " + " ".join(
-            f"{name}={self.seconds.get(name, 0.0):.6f}s" for name in stages))
+        if self.opened:
+            with contextlib.suppress(ConfigError):
+                self.log("stage timings: " + " ".join(
+                    f"{name}={self.seconds.get(name, 0.0):.6f}s" for name in stages))
 
     def write_text(self, name: str, text: str):
         self._write(os.path.join(self.outdir, name), "w", text)
@@ -103,13 +117,14 @@ class _Run:
         self._write(os.path.join(self.outdir, name), "w", dumps(payload, indent=2) + "\n")
 
     def write_error(self, exc: Exception):
-        """error_report.json for a failure that ends the command, if the
-        output directory exists."""
-        if not os.path.isdir(self.outdir):
-            return
-        self.write_json("error_report.json", {"error": type(exc).__name__,
-                                              "message": str(exc), "stage": self.stage})
-        self.log(f"stage {self.stage}: {type(exc).__name__}: {exc}")
+        """error_report.json for a failure that ends the command, if the log is
+        open; a failed write is ignored."""
+        if self.opened:
+            with contextlib.suppress(ConfigError):
+                self.write_json("error_report.json", {"error": type(exc).__name__,
+                                                      "message": str(exc),
+                                                      "stage": self.stage})
+                self.log(f"stage {self.stage}: {type(exc).__name__}: {exc}")
 
 
 # a coefficient is a sign alone or a number with at least one digit
@@ -188,7 +203,7 @@ def _pre_stages(cfg: RunConfig, prob, rng, run: _Run, write: bool):
         return hyp, None, None, False
     mu0, c = _mu0_stage(cfg, prob, rng, run)
     run.stage = "schauder"
-    rep_p, rep_m = check_schauder(prob, mu0, c, cfg.schauder_samples, rng)
+    rep_p, rep_m = check_schauder(prob, mu0, c, SCHAUDER_SAMPLES, rng)
     report = {"mu0": mu0, "plus": rep_p.to_dict(), "minus": rep_m.to_dict()}
     if write:
         run.write_json("invariance_report.json", report)
@@ -197,19 +212,8 @@ def _pre_stages(cfg: RunConfig, prob, rng, run: _Run, write: bool):
     return hyp, mu0, report, passed
 
 
-# the stages whose wall seconds the solve logs last
-SOLVE_STAGES = ("hypotheses", "mu0", "schauder", "frame", "minimax", "write")
-
-
 def cmd_solve(cfg: RunConfig, run: _Run) -> int:
     run.open()
-    try:
-        return _solve(cfg, run)
-    finally:
-        run.log_timings(SOLVE_STAGES)
-
-
-def _solve(cfg: RunConfig, run: _Run) -> int:
     rngs = _spawn_rngs(cfg.seed)
     space = build_space(cfg.grid)
     prob = EnergyProblem(space, cfg.potential, cfg.lam)
@@ -222,7 +226,7 @@ def _solve(cfg: RunConfig, run: _Run) -> int:
 
     run.stage = "frame"
     try:
-        frame = build_frame(prob, mu0, cfg.scan, rngs[2])
+        frame = build_frame(prob, mu0, rngs[2])
     except NoLinkingWindow as exc:
         run.write_json("linking_scan.json", {"error": str(exc), "profiles": dict(exc.profiles)})
         run.log(f"stage frame: {exc}")
@@ -240,8 +244,8 @@ def _solve(cfg: RunConfig, run: _Run) -> int:
                                               f"iteration={iteration}")))
     run.stage = "minimax"
     try:
-        minimax = replace(cfg.minimax, flow=replace(cfg.flow, mu0=mu0))
-        report = minimax_iterate(prob, frame, minimax, rngs[3], snapshot=snapshot)
+        report = minimax_iterate(prob, frame, replace(cfg.flow, mu0=mu0), rngs[3],
+                                 snapshot=snapshot)
     except (GapViolation, NotConverged) as exc:
         run.write_json("minimax_report.json", {"error": str(exc)})
         run.log(f"stage minimax: {exc}")
@@ -276,11 +280,12 @@ def cmd_flow(cfg: RunConfig, run: _Run, start: str, resume: str | None) -> int:
     flow_cfg = replace(cfg.flow, mu0=mu0)
     checkpoint_path = os.path.join(run.outdir, "checkpoint.json")
     run.stage = "flow"
-    if resume:
-        traj = resume_flow(prob, flow_cfg, checkpoint, checkpoint_path)
-        run.log(f"resumed from {resume}")
-    else:
-        traj = integrate_flow(prob, u0, flow_cfg, checkpoint_path=checkpoint_path)
+    with run.writing():   # the checkpoint writes
+        if resume:
+            traj = resume_flow(prob, flow_cfg, checkpoint, checkpoint_path)
+            run.log(f"resumed from {resume}")
+        else:
+            traj = integrate_flow(prob, u0, flow_cfg, checkpoint_path=checkpoint_path)
     run.write_text("trajectory.csv", traj.to_csv((f"config_hash={cfg.hash}",)))
     run.write_text("solution.csv",
                    field_to_csv(space, traj.final.u,
@@ -373,6 +378,16 @@ def cmd_spectrum(cfg: RunConfig, run: _Run, k: int) -> int:
     return EXIT_OK
 
 
+# the stages whose wall seconds each command logs last
+STAGES = {
+    "solve": ("hypotheses", "mu0", "schauder", "frame", "minimax", "write"),
+    "flow": ("mu0", "flow", "verdict", "write"),
+    "verify": ("hypotheses", "mu0", "schauder", "slope_cross_validation", "ps_monitor",
+               "write"),
+    "spectrum": ("write",),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="nodalflow",
                                      description="descending-flow sign-changing solver")
@@ -417,6 +432,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         run.write_error(exc)
         return EXIT_NOT_CONVERGED
+    finally:
+        run.log_timings(STAGES[args.command])
 
 
 if __name__ == "__main__":

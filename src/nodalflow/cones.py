@@ -414,10 +414,12 @@ def _excess(d_img: float, d: float, q: float) -> float:
 
 
 # Samples per ladder distance in the fit of C, the headroom the fitted C gets
-# for fresh samples, and the slack of the worst-ratio test against 0.5
+# for fresh samples, the slack of the worst-ratio test against 0.5, and the
+# fresh samples per sign the invariance check draws at mu0
 FIT_PER_DISTANCE = 7
 FIT_HEADROOM = 1.2
 RATIO_TOL = 1e-6
+SCHAUDER_SAMPLES = 100
 
 
 def _fit_constant(prob, sign: int, rng: np.random.Generator) -> float:

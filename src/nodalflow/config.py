@@ -1,9 +1,9 @@
 """Run configuration: a single JSON document with "auto" sentinels, canonical
 hashing for reproducibility, and the typed solver sections.
 
-The keys of the "grid", "flow", "linking" and "linking.scan" sections are the
-fields of GridSpec, FlowConfig, MinimaxConfig and ScanConfig, less those marked
-internal (set by the solver); each value is checked against its annotation.
+The keys of the "grid" and "flow" sections are the fields of GridSpec and
+FlowConfig, less those marked internal (set by the solver); each value is
+checked against its annotation.  The "linking" section holds ``snapshots``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from types import MappingProxyType
 from typing import Any
 
 from .flow import FlowConfig
-from .linking import MinimaxConfig, ScanConfig
 from .mesh import GridSpec
 from .potential import (PiecewisePotential, abs_potential, capped_power_potential,
                         polynomial_potential, power_potential, two_slope_potential)
@@ -36,7 +35,6 @@ _DEFAULTS: dict[str, Any] = {
     "mu0": "auto",
     "flow": {},
     "linking": {},
-    "tolerances": {"schauder_samples": 100},
     "seed": 0,
     "output_dir": "out",
 }
@@ -74,8 +72,6 @@ def parse_potential(spec) -> PiecewisePotential:
             if name not in _POTENTIALS:
                 raise ValueError("unknown potential")
             return _POTENTIALS[name](*vals)
-        if isinstance(spec, dict) and "name" in spec:
-            return _POTENTIALS[spec["name"]](**{k: v for k, v in spec.items() if k != "name"})
         if isinstance(spec, dict):
             return polynomial_potential(
                 spec["breakpoints"], spec["coefficients"],
@@ -106,9 +102,6 @@ class RunConfig:
     seed: int
     output_dir: str
     flow: FlowConfig
-    scan: ScanConfig
-    minimax: MinimaxConfig
-    schauder_samples: int
     snapshots: bool
 
     @property
@@ -201,21 +194,10 @@ def load_config(source: str | dict) -> RunConfig:
         mu0 = _value(mu0, float, "mu0")
         if not 0 < mu0 < 1:
             raise ConfigError(f"mu0 must be in (0,1) or 'auto', got {mu0}")
-    linking = _typed(raw["linking"], dict(schema(MinimaxConfig), scan=dict,
-                                          snapshots=types["snapshots"]), "linking")
-    scan = _typed(linking.pop("scan", {}), schema(ScanConfig), "linking.scan")
-    snapshots = linking.pop("snapshots", False)
-    tolerances = _typed(raw["tolerances"],
-                        {k: types[k] for k in _DEFAULTS["tolerances"]}, "tolerances")
-    if tolerances["schauder_samples"] < 1:
-        # with no sample the Schauder check would pass vacuously
-        raise ConfigError("tolerances.schauder_samples must be at least 1, "
-                          f"got {tolerances['schauder_samples']}")
+    linking = _typed(raw["linking"], {"snapshots": types["snapshots"]}, "linking")
     flow = _typed(raw["flow"], schema(FlowConfig), "flow")
     try:
         flow = FlowConfig(**flow)
-        minimax = MinimaxConfig(flow=flow, **linking)
-        scan = ScanConfig(**scan)
     except ValueError as exc:
         raise ConfigError(f"bad solver config: {exc}") from exc
     seed = _value(raw["seed"], types["seed"], "seed")
@@ -223,4 +205,4 @@ def load_config(source: str | dict) -> RunConfig:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return RunConfig(raw, grid, potential, lam, mu0, seed,
                      _value(raw["output_dir"], types["output_dir"], "output_dir"),
-                     flow, scan, minimax, tolerances["schauder_samples"], snapshots)
+                     flow, linking.get("snapshots", False))

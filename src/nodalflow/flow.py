@@ -192,10 +192,12 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
             with open(checkpoint_path, "wb") as fh:
                 fh.write(committed)
             saved = len(states)
-        # refresh warm caches at the resumed head
+        # refresh warm caches and the norm at the resumed head, from one A u
         head = states[-1]
-        head.norm = _make_state(prob, head.u, head.t, head.dt_used, config.mu0,
-                                warm, head.j).norm
+        au = space.A @ head.u
+        warm["slope"] = slope(prob, head.u, au=au)
+        warm["w"] = warm["slope"].selection
+        head.norm = float(np.sqrt(max(float(head.u @ au), 0.0)))
     else:
         u0 = space.check_field(u0)
         states = [_make_state(prob, u0, 0.0, 0.0, config.mu0, warm)]

@@ -28,11 +28,13 @@ from scipy.sparse.linalg import splu
 
 from .cones import RegionLabel, min_dist_to_cones, region_of
 from .energy import EnergyProblem, energies, slope
-from .flow import (ENERGY_SLACK, INTERNAL, FlowConfig, Termination, _make_state,
-                   integrate_flow)
+from .flow import ENERGY_SLACK, FlowConfig, Termination, _make_state, integrate_flow
 from .mesh import DiscreteSpace
 
 T_MODES = 8          # T directions are drawn from the first T_MODES eigenfields past phi1
+SCAN_RADII = tuple(float(r) for r in np.geomspace(1.0, 200.0, 40))   # scanned R
+SCAN_N_THETA = 64      # arc angles each scanned R is scored at
+SCAN_DELTAS = tuple(float(d) for d in np.geomspace(0.05, 25.0, 48))  # scanned delta_T
 RADIUS_MARGIN = 1.15   # R is the first scanned radius with J < 0 on its arc, times this
 N_DIRECTIONS = 32      # T directions sampled by the scan
 CONE_MARGIN = 1.05     # an admissible T clears the cone neighborhoods by this factor
@@ -41,6 +43,8 @@ BISECT_ROUNDS = 40     # rounds of one separatrix bisection
 CLASSIFY_T_CHUNK = 2.0     # flow time of one classification chunk
 CLASSIFY_MAX_CHUNKS = 8    # chunks before a descent is left unresolved
 MESH_TOL = 1e-2        # floor of the surface's J-resolution at the maximizer
+SURFACE_NR = 7         # radial nodes of the surface's parameter grid
+SURFACE_NT = 25        # angular nodes of the surface's parameter grid
 # what the separatrix extraction counts: bisection rounds, Newton attempts,
 # and corrected points rejected by region label and by energy window
 EXTRACTION_COUNTS = ("rounds", "newton", "off_label", "off_window")
@@ -64,13 +68,6 @@ class NotConverged(RuntimeError):
 
 class InvarianceViolation(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    radius_grid: tuple[float, ...] = tuple(float(r) for r in np.geomspace(1.0, 200.0, 40))
-    n_theta: int = 64
-    delta_grid: tuple[float, ...] = tuple(float(d) for d in np.geomspace(0.05, 25.0, 48))
 
 
 @dataclass(frozen=True)
@@ -130,8 +127,7 @@ def sample_t_sphere(space: DiscreteSpace, frame: LinkingFrame, count: int,
             for d in _v_directions(space, frame.phi1, count, rng)]
 
 
-def build_frame(prob: EnergyProblem, mu0: float, scan: ScanConfig,
-                rng: np.random.Generator) -> LinkingFrame:
+def build_frame(prob: EnergyProblem, mu0: float, rng: np.random.Generator) -> LinkingFrame:
     """Scan for the linking pair: R with J < 0 on the radius-R eigen-plane arc,
     delta_T with J > 0 on the T sphere and T clear of both cone neighborhoods."""
     space = prob.space
@@ -140,14 +136,14 @@ def build_frame(prob: EnergyProblem, mu0: float, scan: ScanConfig,
     hat1, hat2 = phi1 / np.sqrt(lam1), phi2 / np.sqrt(lam2)
     # the unit arc, one angle per row; each radius scores its arc as one block
     arc = np.array([np.cos(t) * hat1 + np.sin(t) * hat2
-                    for t in np.linspace(0.0, np.pi, scan.n_theta)])
+                    for t in np.linspace(0.0, np.pi, SCAN_N_THETA)])
 
     def arc_max(radius: float) -> float:
         return float(np.max(energies(prob, radius * arc)))
 
     radius = None
     radius_profile = {}
-    for r in scan.radius_grid:
+    for r in SCAN_RADII:
         radius_profile[r] = arc_max(r)
         if radius_profile[r] < 0.0:
             cand = r * RADIUS_MARGIN
@@ -165,7 +161,7 @@ def build_frame(prob: EnergyProblem, mu0: float, scan: ScanConfig,
     dir_block = np.array(dirs)
     delta_profile = {}
     feasible = []
-    for delta in scan.delta_grid:
+    for delta in SCAN_DELTAS:
         if delta >= radius:
             continue
         min_j = float(np.min(energies(prob, delta * dir_block)))
@@ -295,13 +291,6 @@ def deform_surface(prob: EnergyProblem, mesh: SurfaceMesh,
 # -- minimax -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimaxConfig:
-    nr: int = 7
-    nt: int = 25
-    flow: FlowConfig = field(default_factory=FlowConfig, metadata=INTERNAL)
-
-
 @dataclass
 class MinimaxReport:
     """``r_estimates`` holds the one sup of J over the sign-changing points of
@@ -354,7 +343,7 @@ class MinimaxReport:
         }
 
 
-def _classify_descent(prob: EnergyProblem, u0: np.ndarray, cfg: MinimaxConfig,
+def _classify_descent(prob: EnergyProblem, u0: np.ndarray, cfg: FlowConfig,
                       mu0: float, floor_j: float, dip_floor: float = -np.inf):
     """Flow from u0 until the outcome is decided.
 
@@ -366,8 +355,8 @@ def _classify_descent(prob: EnergyProblem, u0: np.ndarray, cfg: MinimaxConfig,
     sign-changing critical point at the linking level; the floor screens out
     approaches to low-energy attractors).
     """
-    base = replace(cfg.flow, mu0=mu0, t_max=CLASSIFY_T_CHUNK, j_floor=floor_j,
-                   max_steps=min(cfg.flow.max_steps, 6000))
+    base = replace(cfg, mu0=mu0, t_max=CLASSIFY_T_CHUNK, j_floor=floor_j,
+                   max_steps=min(cfg.max_steps, 6000))
     u = u0
     dip = None
     dip_val = np.inf
@@ -466,7 +455,7 @@ def _bisect_separatrix(prob, a, b, class_a, cfg, mu0, floor_j,
         if dip is not None and (val := (1.0 + dip.norm) * dip.m) < best_val:
             best_val = val
             counts["newton"] += 1
-            polished = _newton_polish(prob, dip.u, cfg.flow.tol_m)
+            polished = _newton_polish(prob, dip.u, cfg.tol_m)
             if polished is not None:
                 found = _make_state(prob, polished, 0.0, 0.0, mu0, {})
                 # the flow's own rounding slack on an energy decrease
@@ -486,17 +475,19 @@ def _bisect_separatrix(prob, a, b, class_a, cfg, mu0, floor_j,
     return None
 
 
-def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig,
+def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: FlowConfig,
                     rng: np.random.Generator, snapshot=None) -> MinimaxReport:
     """Minimax over the identity surface: label and score it once, take the
     sup of J over its sign-changing points, then extract the critical
-    candidate from the maximizer.
+    candidate from the maximizer.  The surface is the SURFACE_NR x SURFACE_NT
+    parameter grid; the extraction's flows take ``cfg``'s tolerance and step cap.
 
     ``snapshot(0, mesh)``, when given, is called once with the surface
     (plot-ready via ``SurfaceMesh.to_csv``).
     """
     alpha, beta = estimate_alpha_beta(prob, frame, rng)
-    mesh = SurfaceMesh.identity_embedding(prob, frame, cfg.nr, cfg.nt)
+    nr, nt = SURFACE_NR, SURFACE_NT
+    mesh = SurfaceMesh.identity_embedding(prob, frame, nr, nt)
     mu0 = frame.mu0
     floor_j = alpha - 10.0 * (1.0 + abs(alpha))
 
@@ -514,7 +505,7 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
     maximizer = mesh.images[i, k].copy()
     param = (float(mesh.rho[i]), float(mesh.theta[k]))
     neighbor_js = [js[i + di, k + dk] for di, dk in ((1, 0), (-1, 0), (0, 1), (0, -1))
-                   if 0 <= i + di < cfg.nr and 0 <= k + dk < cfg.nt]
+                   if 0 <= i + di < nr and 0 <= k + dk < nt]
     mesh_tolerance = max(MESH_TOL,
                          max(abs(js[i, k] - jn) for jn in neighbor_js))
     r_estimates = [float(masked.ravel()[flat])]
@@ -545,10 +536,10 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
             # walk the scaling column, then the angular row, for a partner whose
             # descent lands in the other basin; the straight segment between the
             # two images then crosses the separatrix
-            partners = ([(i + d, k) for d in range(1, cfg.nr) if 0 <= i + d < cfg.nr]
-                        + [(i - d, k) for d in range(1, cfg.nr) if 0 <= i - d < cfg.nr]
-                        + [(i, k + d) for d in range(1, cfg.nt) if 0 <= k + d < cfg.nt]
-                        + [(i, k - d) for d in range(1, cfg.nt) if 0 <= k - d < cfg.nt])
+            partners = ([(i + d, k) for d in range(1, nr) if 0 <= i + d < nr]
+                        + [(i - d, k) for d in range(1, nr) if 0 <= i - d < nr]
+                        + [(i, k + d) for d in range(1, nt) if 0 <= k + d < nt]
+                        + [(i, k - d) for d in range(1, nt) if 0 <= k - d < nt])
             for idx in partners:
                 pkind, pstate, _ = classify_at(idx)
                 if pkind == "done":
@@ -569,5 +560,5 @@ def minimax_iterate(prob: EnergyProblem, frame: LinkingFrame, cfg: MinimaxConfig
     final_slope = slope(prob, candidate_state.u).value
     return MinimaxReport(alpha, beta, r_estimates, param, maximizer,
                          candidate_state.u.copy(), final_slope, candidate_state.label,
-                         final_slope <= cfg.flow.tol_m, mesh_tolerance,
+                         final_slope <= cfg.tol_m, mesh_tolerance,
                          candidate_state.j, counts)

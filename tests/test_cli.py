@@ -109,6 +109,24 @@ def test_unwritable_output_directory_exits_2(tmp_path, capsys, monkeypatch, comm
     assert os.listdir(tmp_path / "taken") == ["run.log"]
 
 
+@pytest.mark.parametrize("command, blocked", [("spectrum", "spectrum.csv"),
+                                              ("solve", "hypothesis_report.json"),
+                                              ("flow", "checkpoint.json")])
+def test_failed_artifact_write_exits_2(tmp_path, capsys, command, blocked):
+    # the artifact's path is a directory, so writing it fails after run.log
+    path, _ = small_config(tmp_path, mu0=0.3, flow={"checkpoint_every": 5},
+                           grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 15})
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    start = ["--start", "2.5*phi2"] if command == "flow" else []
+    assert main([command, "--config", path, *start, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write to output directory")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == sorted([blocked, "run.log"])
+    assert "stage timings:" in (out / "run.log").read_text()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -120,10 +138,13 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_invalid_potential_exits_2(tmp_path, capsys):
-    path, _ = small_config(tmp_path, potential="power:2")
-    assert main(["solve", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
+    # a named dict is not a potential form
+    for potential in ("power:2", {"name": "power", "q": 4.0}):
+        path, _ = small_config(tmp_path, potential=potential)
+        assert main(["solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "bad potential spec" in err
+        assert err.count("\n") == 1
 
 
 def test_projection_failure_exits_4(tmp_path, capsys, monkeypatch):
@@ -363,22 +384,46 @@ def test_2d_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("overrides, code", [({}, 0), ({"lambda": 0.001}, 3)])
-def test_solve_logs_its_stage_timings(tmp_path, overrides, code):
-    path, _ = small_config(tmp_path, **overrides)
-    out = tmp_path / "out"
+def _timed_main(argv, out) -> tuple[int, float, list[tuple[str, float]]]:
+    """main(argv)'s exit code, its wall seconds, and the (stage, seconds)
+    pairs of the one stage timings line of out/run.log."""
     start = time.perf_counter()
-    assert main(["solve", "--config", path, "--out", str(out)]) == code
+    code = main(argv)
     wall = time.perf_counter() - start
     lines = re.findall(r"^\[[^]]*\] stage timings: (.*)$", (out / "run.log").read_text(),
                        flags=re.M)
     assert len(lines) == 1
     pairs = [re.fullmatch(r"(\w+)=(\d+\.\d+)s", item).groups() for item in lines[0].split()]
+    return code, wall, [(name, float(value)) for name, value in pairs]
+
+
+@pytest.mark.parametrize("overrides, code", [({}, 0), ({"lambda": 0.001}, 3)])
+def test_solve_logs_its_stage_timings(tmp_path, overrides, code):
+    path, _ = small_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    exit_code, wall, pairs = _timed_main(["solve", "--config", path, "--out", str(out)], out)
+    assert exit_code == code
     assert [name for name, _ in pairs] == ["hypotheses", "mu0", "schauder", "frame",
                                            "minimax", "write"]
-    seconds = dict((name, float(value)) for name, value in pairs)
+    seconds = dict(pairs)
     assert sum(seconds.values()) <= wall and seconds["schauder"] > 0.0
     assert (seconds["minimax"] > 0.0) == (code == 0)
+
+
+@pytest.mark.parametrize("command, args, stages", [
+    ("flow", ["--start", "2.5*phi2"], ["mu0", "flow", "verdict", "write"]),
+    ("verify", [], ["hypotheses", "mu0", "schauder", "slope_cross_validation",
+                    "ps_monitor", "write"]),
+    ("spectrum", ["--k", "3"], ["write"])])
+def test_every_command_logs_its_stage_timings(tmp_path, command, args, stages):
+    path, _ = small_config(tmp_path, grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 31})
+    out = tmp_path / "out"
+    code, wall, pairs = _timed_main([command, "--config", path, *args, "--out", str(out)],
+                                    out)
+    assert code == 0
+    assert [name for name, _ in pairs] == stages
+    seconds = dict(pairs)
+    assert sum(seconds.values()) <= wall and all(value > 0.0 for value in seconds.values())
 
 
 def test_seed_override_changes_hash(tmp_path):
@@ -567,24 +612,16 @@ SECTION_KEYS = {
     (): set(_DEFAULTS),
     ("grid",): _accepted_keys(nf.GridSpec),
     ("flow",): _accepted_keys(nf.FlowConfig),
-    ("linking",): _accepted_keys(nf.MinimaxConfig) | {"scan", "snapshots"},
-    ("linking", "scan"): _accepted_keys(nf.ScanConfig),
-    ("tolerances",): {"schauder_samples"},
+    ("linking",): {"snapshots"},
 }
 
 # numeric leaves of a valid config: (path, value)
 NUMERIC_LEAVES = (
     [(("lambda",), 1.0), (("mu0",), 0.3), (("seed",), 3),
      (("grid", "n"), 15), (("grid", "bounds", 0), 0.0), (("grid", "bounds", 1), 1.0),
-     (("tolerances", "schauder_samples"), 10), (("flow", "checkpoint_every"), 5),
-     (("potential", "q"), 4.0), (("linking", "scan", "radius_grid", 1), 2.0),
-     (("linking", "scan", "delta_grid", 0), 0.1)]
+     (("flow", "checkpoint_every"), 5), (("potential", "q"), 4.0)]
     + [(("flow", f.name), f.default) for f in dataclasses.fields(nf.FlowConfig)
        if not f.metadata.get("internal") and f.default is not None]
-    + [(("linking", f.name), f.default) for f in dataclasses.fields(nf.MinimaxConfig)
-       if not f.metadata.get("internal")]
-    + [(("linking", "scan", f.name), f.default) for f in dataclasses.fields(nf.ScanConfig)
-       if not isinstance(f.default, tuple)]
 )
 
 
@@ -596,8 +633,8 @@ def _set(tree, path, value):
 
 def _base_config():
     return {"grid": {"dimension": 1, "bounds": [0.0, 1.0], "n": 15},
-            "potential": {"name": "power", "q": 4.0},
-            "linking": {"scan": {"radius_grid": [1.0, 2.0], "delta_grid": [0.1, 1.0]}}}
+            "potential": {"breakpoints": [], "coefficients": [[0.0, 0.0, 0.0, 0.0, 0.25]],
+                          "a1": 1.0, "q": 4.0, "mu": 4.0}}
 
 
 def _merged(user):
@@ -635,12 +672,22 @@ def test_unknown_key_in_any_section_rejected(section, key):
     ("linking", "retry_budget"), ("linking", "bisect_rounds"),
     ("linking", "classify_t_chunk"), ("linking", "classify_max_chunks"),
     ("linking", "mesh_tol"), ("linking", "scan", "radius_margin"),
-    ("linking", "scan", "n_directions"), ("linking", "scan", "cone_margin")])
-def test_removed_and_internal_keys_rejected(path):
+    ("linking", "scan", "n_directions"), ("linking", "scan", "cone_margin"),
+    ("linking", "nr"), ("linking", "nt"), ("linking", "scan", "radius_grid"),
+    ("linking", "scan", "n_theta"), ("linking", "scan", "delta_grid"),
+    ("tolerances", "schauder_samples"), ("tolerances",), ("linking", "scan")])
+def test_removed_and_internal_keys_rejected(tmp_path, capsys, path):
     cfg = _base_config()
     _set(cfg, path, 0.1)
     with pytest.raises(ConfigError, match="unknown"):
         load_config(cfg)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "never"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "unknown" in err and err.count("\n") == 1
 
 
 @given(leaf=st.sampled_from(NUMERIC_LEAVES),
@@ -665,9 +712,7 @@ def test_bool_for_number_rejected(leaf):
 
 
 @pytest.mark.parametrize("path", [("seed",), ("grid", "n"), ("flow", "max_steps"),
-                                  ("flow", "checkpoint_every"), ("linking", "nr"),
-                                  ("linking", "scan", "n_theta"),
-                                  ("tolerances", "schauder_samples")])
+                                  ("flow", "checkpoint_every")])
 def test_int_field_needs_integral_value(path):
     cfg = _base_config()
     _set(cfg, path, 7.0)   # integral floats are accepted as ints
@@ -689,14 +734,7 @@ _accepted_configs = st.fixed_dictionaries({}, optional={
         "tol_m": st.floats(1e-9, 1e-2), "t_max": st.floats(0.1, 100.0),
         "max_steps": st.integers(1, 10**6),
         "checkpoint_every": st.one_of(st.none(), st.integers(1, 100))}),
-    "linking": st.fixed_dictionaries({}, optional={
-        "nr": st.integers(2, 20),
-        "snapshots": st.booleans(),
-        "scan": st.fixed_dictionaries({}, optional={
-            "n_theta": st.integers(1, 200),
-            "radius_grid": st.lists(st.floats(0.1, 500.0), min_size=1, max_size=5)})}),
-    "tolerances": st.fixed_dictionaries({}, optional={
-        "schauder_samples": st.integers(1, 500)}),
+    "linking": st.fixed_dictionaries({}, optional={"snapshots": st.booleans()}),
     "output_dir": st.text(max_size=8),
 })
 
@@ -726,25 +764,12 @@ def test_spectrum_bad_key_exits_2_without_output(section, key):
 
 
 def test_bad_linking_key_exits_2_before_any_stage(tmp_path, capsys):
-    path, _ = small_config(tmp_path, linking={"nr": 5, "bogus": 1})
+    path, _ = small_config(tmp_path, linking={"snapshots": True, "bogus": 1})
     out = tmp_path / "never"
     assert main(["solve", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "bogus" in err and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("samples", [0, -5])
-def test_schauder_samples_below_one_exits_2(tmp_path, capsys, samples):
-    # with no sample the Schauder check would pass vacuously
-    path, _ = small_config(tmp_path, grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 31},
-                           tolerances={"schauder_samples": samples})
-    out = tmp_path / "never"
-    for command in ("solve", "verify"):
-        assert main([command, "--config", path, "--out", str(out)]) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "schauder_samples" in err
 
 
 @pytest.mark.parametrize("k", ["0", "99"])
@@ -774,8 +799,7 @@ def test_readme_config_example_loads():
     assert load_config(example).raw == _merged(json.loads(example))
 
 
-_README_TYPES = {int: "integer", float: "number", bool: "boolean",
-                 int | None: "integer or null", tuple[float, ...]: "list of numbers"}
+_README_TYPES = {int: "integer", float: "number", int | None: "integer or null"}
 
 
 def test_readme_lists_the_accepted_keys_with_defaults():
@@ -785,25 +809,15 @@ def test_readme_lists_the_accepted_keys_with_defaults():
     expected = {".".join(section + (key,)) for section, keys in SECTION_KEYS.items()
                 for key in keys}
     assert set(rows) == expected
-    sections = {"flow": nf.FlowConfig, "linking": nf.MinimaxConfig,
-                "linking.scan": nf.ScanConfig}
-    for prefix, cls in sections.items():
-        hints = typing.get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            if f.metadata.get("internal"):
-                continue
-            doc_type, doc_default = rows[f"{prefix}.{f.name}"]
-            assert doc_type == _README_TYPES[hints[f.name]], f.name
-            if isinstance(f.default, tuple):
-                m = re.fullmatch(r"`geomspace\(([\d.]+), ([\d.]+), (\d+)\)`", doc_default)
-                grid = np.geomspace(float(m.group(1)), float(m.group(2)), int(m.group(3)))
-                assert f.default == tuple(float(x) for x in grid), f.name
-            else:
-                assert json.loads(doc_default.strip("`")) == f.default, f.name
+    hints = typing.get_type_hints(nf.FlowConfig)
+    for f in dataclasses.fields(nf.FlowConfig):
+        if f.metadata.get("internal"):
+            continue
+        doc_type, doc_default = rows[f"flow.{f.name}"]
+        assert doc_type == _README_TYPES[hints[f.name]], f.name
+        assert json.loads(doc_default.strip("`")) == f.default, f.name
     for key, val in _DEFAULTS.items():
         if not isinstance(val, dict):
             assert json.loads(rows[key][1].strip("`")) == val, key
-    for key, val in {**{f"grid.{k}": v for k, v in _DEFAULTS["grid"].items()},
-                     **{f"tolerances.{k}": v for k, v in _DEFAULTS["tolerances"].items()}
-                     }.items():
-        assert json.loads(rows[key][1].strip("`")) == val, key
+    for key, val in _DEFAULTS["grid"].items():
+        assert json.loads(rows[f"grid.{key}"][1].strip("`")) == val, key

@@ -326,7 +326,7 @@ def _checker_run(prob, seed, mu0_probe):
     reports = [dumps(rep.to_dict()) for m in (fit.mu0, mu0_probe)
                for rep in nf.check_schauder(prob, m, fit.c, 12, np.random.default_rng(seed + 1))]
     try:
-        frame = nf.build_frame(prob, fit.mu0, nf.ScanConfig(), np.random.default_rng(seed + 2))
+        frame = nf.build_frame(prob, fit.mu0, np.random.default_rng(seed + 2))
     except nf.NoLinkingWindow as exc:
         frame = str(exc)
     return fit, reports, frame

@@ -166,11 +166,11 @@ def test_flow_states_carry_their_h1_norm(quartic_63, tmp_path, monkeypatch):
     assert all("norm" in vars(s) for s in loaded)
     assert load_checkpoint(path).states[0].norm is None
     # the descent classifier and the Gronwall check read the kept norms
-    from nodalflow.linking import MinimaxConfig, _classify_descent
+    from nodalflow.linking import _classify_descent
     norms = []
     monkeypatch.setattr(space, "h1_norm", lambda u: norms.append(1) or 0.0)
     assert nf.monitor_invariance(traj, 0.3).gronwall_ok
-    _classify_descent(quartic_63, 4.0 * space.eigenpairs(2)[1][1], MinimaxConfig(),
+    _classify_descent(quartic_63, 4.0 * space.eigenpairs(2)[1][1], nf.FlowConfig(),
                       0.3, -1e5, dip_floor=1.0)
     assert not norms
 
@@ -250,11 +250,11 @@ def test_flow_against_newton_oracle(quartic_63):
 def test_sign_changing_flow_against_shooting(quartic_127):
     # odd-ray bisection lands on the one-node solution; energy matches the
     # two-interval shooting oracle
-    from nodalflow.linking import _classify_descent, _bisect_separatrix, MinimaxConfig
+    from nodalflow.linking import _classify_descent, _bisect_separatrix
     from oracles import shooting_sign_changing
     space = quartic_127.space
     phi2 = space.eigenpairs(2)[1][1]
-    cfg = MinimaxConfig()
+    cfg = nf.FlowConfig()
     a, b = 3.0 * phi2, 6.0 * phi2
     ka, _, _ = _classify_descent(quartic_127, a, cfg, 0.3, -1e5, dip_floor=1.0)
     kb, _, _ = _classify_descent(quartic_127, b, cfg, 0.3, -1e5, dip_floor=1.0)
@@ -341,6 +341,23 @@ def test_resume_matches_uninterrupted(quartic_63, tmp_path):
     for a, b in zip(resumed.states, full.states):
         assert a.j == b.j and a.t == b.t and a.dt_used == b.dt_used
         assert np.array_equal(a.u, b.u)
+
+
+def test_resume_past_t_max_labels_no_state(quartic_63, tmp_path, monkeypatch):
+    u0 = 1.2 * quartic_63.space.eigenpairs(2)[1][1]
+    cut_cfg = nf.FlowConfig(mu0=0.3, t_max=10.0, checkpoint_every=5, max_steps=7)
+    path = str(tmp_path / "ck.json")
+    cut = nf.integrate_flow(quartic_63, u0, cut_cfg, checkpoint_path=path)
+    calls = []
+    real = flow.region_of
+    monkeypatch.setattr(flow, "region_of",
+                        lambda space, u, mu0: calls.append(1) or real(space, u, mu0))
+    resumed = nf.resume_flow(quartic_63, nf.FlowConfig(mu0=0.3, t_max=0.0), path)
+    assert resumed.termination is nf.Termination.MAX_TIME
+    assert not calls
+    # the head's norm has the bits of the uninterrupted state's
+    assert resumed.final.norm == cut.final.norm
+    assert resumed.to_csv() == cut.to_csv()
 
 
 def test_torn_checkpoint_resumes_from_last_commit(quartic_63, tmp_path):

@@ -4,9 +4,9 @@ import pytest
 import nodalflow as nf
 from nodalflow import linking
 from nodalflow._serial import dumps
-from nodalflow.linking import (EXTRACTION_COUNTS, GapViolation, MinimaxConfig,
-                               NoLinkingWindow, SurfaceMesh, _bisect_separatrix,
-                               _classify_descent, _newton_polish)
+from nodalflow.linking import (EXTRACTION_COUNTS, GapViolation, NoLinkingWindow,
+                               SurfaceMesh, _bisect_separatrix, _classify_descent,
+                               _newton_polish)
 from oracles import shooting_sign_changing
 
 
@@ -14,7 +14,7 @@ from oracles import shooting_sign_changing
 def frame_63(quartic_63):
     rng = np.random.default_rng(7)
     mu0 = nf.fit_mu0(quartic_63, rng).mu0
-    return mu0, nf.build_frame(quartic_63, mu0, nf.ScanConfig(), rng)
+    return mu0, nf.build_frame(quartic_63, mu0, rng)
 
 
 def test_frame_scans(quartic_63, frame_63):
@@ -32,7 +32,7 @@ def test_frame_scans(quartic_63, frame_63):
 def test_no_linking_window_for_tiny_lambda(space_63):
     prob = nf.EnergyProblem(space_63, nf.power_potential(4), 1e-3)
     with pytest.raises(NoLinkingWindow) as err:
-        nf.build_frame(prob, 0.3, nf.ScanConfig(), np.random.default_rng(0))
+        nf.build_frame(prob, 0.3, np.random.default_rng(0))
     assert err.value.profiles  # scan profiles reported
 
 
@@ -122,7 +122,7 @@ def test_deform_surface_contracts(quartic_63, frame_63):
 @pytest.fixture(scope="module")
 def minimax_63(quartic_63, frame_63):
     mu0, frame = frame_63
-    cfg = nf.MinimaxConfig(nr=7, nt=25)
+    cfg = nf.FlowConfig()
     return cfg, nf.minimax_iterate(quartic_63, frame, cfg, np.random.default_rng(9))
 
 
@@ -130,7 +130,7 @@ def test_minimax_converges(quartic_63, minimax_63):
     cfg, rep = minimax_63
     assert rep.converged
     assert rep.label is nf.RegionLabel.SIGN_CHANGING
-    assert rep.candidate_slope <= cfg.flow.tol_m
+    assert rep.candidate_slope <= cfg.tol_m
     assert nf.sign_changes(rep.candidate) == 1
 
 
@@ -166,8 +166,9 @@ def test_surface_points_are_labelled_once(quartic_63, frame_63, monkeypatch):
     real_labels = SurfaceMesh.labels
     monkeypatch.setattr(SurfaceMesh, "labels", lambda self, *args:
                         labelled.append(1) or real_labels(self, *args))
-    nf.minimax_iterate(quartic_63, frame, nf.MinimaxConfig(nr=5, nt=9),
-                       np.random.default_rng(9))
+    monkeypatch.setattr(linking, "SURFACE_NR", 5)
+    monkeypatch.setattr(linking, "SURFACE_NT", 9)
+    nf.minimax_iterate(quartic_63, frame, nf.FlowConfig(), np.random.default_rng(9))
     assert len(labelled) == 1
 
 
@@ -186,7 +187,8 @@ def test_report_maximizer_is_the_argmax_when_a_retry_succeeds(quartic_63, frame_
 
     monkeypatch.setattr(linking, "_classify_descent", classify)
     retried = nf.minimax_iterate(quartic_63, frame, cfg, np.random.default_rng(9))
-    mesh = SurfaceMesh.identity_embedding(quartic_63, frame, cfg.nr, cfg.nt)
+    mesh = SurfaceMesh.identity_embedding(quartic_63, frame, linking.SURFACE_NR,
+                                          linking.SURFACE_NT)
     js = np.where(mesh.changing, mesh.energies(quartic_63), -np.inf)
     i, k = np.unravel_index(np.argmax(js), js.shape)
     assert np.array_equal(tried[0], mesh.images[i, k])
@@ -196,11 +198,12 @@ def test_report_maximizer_is_the_argmax_when_a_retry_succeeds(quartic_63, frame_
     assert retried.mesh_tolerance == rep.mesh_tolerance
 
 
-def test_minimax_mesh_refinement_stability(quartic_63, frame_63, minimax_63):
+def test_minimax_mesh_refinement_stability(quartic_63, frame_63, minimax_63, monkeypatch):
     mu0, frame = frame_63
-    cfg_coarse, rep_coarse = minimax_63
-    cfg_fine = nf.MinimaxConfig(nr=13, nt=49)
-    rep_fine = nf.minimax_iterate(quartic_63, frame, cfg_fine, np.random.default_rng(9))
+    cfg, rep_coarse = minimax_63
+    monkeypatch.setattr(linking, "SURFACE_NR", 13)
+    monkeypatch.setattr(linking, "SURFACE_NT", 49)
+    rep_fine = nf.minimax_iterate(quartic_63, frame, cfg, np.random.default_rng(9))
     assert rep_fine.converged
     # the critical value itself is mesh-independent
     j_coarse = nf.energy(quartic_63, rep_coarse.candidate)
@@ -222,11 +225,12 @@ def test_surface_snapshot_csv(quartic_63, frame_63):
     assert first == pytest.approx(nf.energy(quartic_63, mesh.images[0, 0]))
 
 
-def test_minimax_snapshot_callback(quartic_63, frame_63):
+def test_minimax_snapshot_callback(quartic_63, frame_63, monkeypatch):
     mu0, frame = frame_63
     seen = []
-    cfg = nf.MinimaxConfig(nr=5, nt=9)
-    nf.minimax_iterate(quartic_63, frame, cfg, np.random.default_rng(9),
+    monkeypatch.setattr(linking, "SURFACE_NR", 5)
+    monkeypatch.setattr(linking, "SURFACE_NT", 9)
+    nf.minimax_iterate(quartic_63, frame, nf.FlowConfig(), np.random.default_rng(9),
                        snapshot=lambda it, mesh: seen.append(it))
     # the identity surface is the only one
     assert seen == [0]
@@ -255,7 +259,7 @@ def odd_ray(quartic_127):
     space = quartic_127.space
     phi2 = space.eigenpairs(2)[1][1]
     floor = 0.5 * shooting_sign_changing(1.0, space.grid.coords().ravel())[1]
-    cfg = MinimaxConfig()
+    cfg = nf.FlowConfig()
     a, b = 3.0 * phi2, 6.0 * phi2
     ka = _classify_descent(quartic_127, a, cfg, 0.3, -1e5, dip_floor=floor)[0]
     kb = _classify_descent(quartic_127, b, cfg, 0.3, -1e5, dip_floor=floor)[0]
@@ -281,7 +285,7 @@ def test_bisection_stops_at_the_first_certified_newton_point(quartic_127, odd_ra
     cfg = odd_ray[4]
     state, counts = _bisect(quartic_127, odd_ray)
     assert counts["rounds"] <= 2
-    _assert_certified(quartic_127, state, cfg.flow.tol_m)
+    _assert_certified(quartic_127, state, cfg.tol_m)
 
     # a full bisection with every corrected point rejected polishes each
     # improved dip once, as it appears, and nothing after the last round
@@ -308,7 +312,7 @@ def test_bisection_stops_at_the_first_certified_newton_point(quartic_127, odd_ra
     assert full_counts == dict(rounds=linking.BISECT_ROUNDS, newton=len(improved),
                                off_label=0, off_window=0)
     # the early stop lands where polishing the best dip of 40 rounds lands
-    u_best = _newton_polish(quartic_127, improved[-1], cfg.flow.tol_m)
+    u_best = _newton_polish(quartic_127, improved[-1], cfg.tol_m)
     scale = np.max(np.abs(u_best))
     assert np.max(np.abs(state.u - u_best)) <= 1e-8 * scale
 
@@ -331,5 +335,5 @@ def test_bisection_goes_on_past_a_rejected_newton_point(quartic_127, odd_ray,
     monkeypatch.setattr(linking, "_newton_polish", first_wrong)
     state, counts = _bisect(quartic_127, odd_ray)
     assert state is not None and len(calls) >= 2 and counts[reject] == 1
-    _assert_certified(quartic_127, state, odd_ray[4].flow.tol_m)
+    _assert_certified(quartic_127, state, odd_ray[4].tol_m)
     assert nf.sign_changes(state.u) == 1
