@@ -16,10 +16,9 @@ from .linking import (GapViolation, LinkingFrame, MinimaxReport, NoLinkingWindow
 from .mesh import (DiscreteSpace, GridSpec, build_space, field_from_csv,
                    field_to_csv, sign_changes)
 from .potential import (ClarkeInterval, HypothesisReport, PiecewisePotential,
-                        SamplePlan, abs_potential, capped_power_potential,
-                        check_hypotheses, clarke_interval, eval_j,
-                        gen_dir_derivative, polynomial_potential,
-                        power_potential, two_slope_potential)
+                        abs_potential, capped_power_potential, check_hypotheses,
+                        clarke_interval, eval_j, gen_dir_derivative,
+                        polynomial_potential, power_potential, two_slope_potential)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

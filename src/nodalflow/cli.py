@@ -32,7 +32,7 @@ from .flow import (Checkpoint, Termination, integrate_flow, load_checkpoint,
 from .linking import (GapViolation, NoLinkingWindow, NotConverged, build_frame,
                       minimax_iterate)
 from .mesh import MeshError, build_space, field_from_csv, field_to_csv
-from .potential import SamplePlan, check_hypotheses
+from .potential import check_hypotheses
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -194,8 +194,8 @@ def _pre_stages(cfg: RunConfig, prob, rng, run: _Run, write: bool):
     report file as the stage ends.
     """
     run.stage = "hypotheses"
-    plan = SamplePlan(seed=int(np.random.SeedSequence(cfg.seed).generate_state(1)[0]))
-    hyp = check_hypotheses(cfg.potential, plan)
+    hyp = check_hypotheses(cfg.potential,
+                           int(np.random.SeedSequence(cfg.seed).generate_state(1)[0]))
     if write:
         run.write_json("hypothesis_report.json", hyp.to_dict())
     run.log(f"stage hypotheses: {'passed' if hyp.all_passed else 'failed'}")

@@ -46,13 +46,16 @@ SCREEN_ROUNDING = 4.0
 # best multiple is ~0.8 on 2D grids and ~1.2 on 1D grids
 DUAL_STEPS = (0.5, 0.7071, 1.0, 1.4142, 2.0)
 
+KKT_TOL = 1e-9            # KKT residual a projection may leave, relative to max(1, |z|_inf)
+ACTIVE_SET_MAX_ITER = 80  # 2D active-set iterations before a projection fails
+
 _EPS = float(np.finfo(float).eps)
 
 
 class ProjectionError(RuntimeError):
     """A projection failed its KKT certificate, on either geometry (the 1D
     concave majorant or the 2D active set), or the 2D active set did not
-    settle within ``max_iter`` iterations."""
+    settle within ACTIVE_SET_MAX_ITER iterations."""
 
 
 class RegionLabel(str, Enum):
@@ -86,13 +89,12 @@ class ProjectionResult:
     iterations: int
 
 
-def project_cone(space: DiscreteSpace, u: np.ndarray, sign: int = 1,
-                 tol: float = 1e-9, max_iter: int = 80) -> ProjectionResult:
+def project_cone(space: DiscreteSpace, u: np.ndarray, sign: int = 1) -> ProjectionResult:
     """A-metric projection onto P (sign=+1) or -P (sign=-1).
 
     Solves min_{v >= 0} (v-z)'A(v-z) with z = sign*u; the multiplier is
     r = A(v-z) with complementarity r_i v_i = 0.  1D grids take the concave
-    majorant; 2D grids the active set, where ``max_iter`` applies.
+    majorant; 2D grids the active set, where ACTIVE_SET_MAX_ITER applies.
     """
     u = space.check_field(u)
     z = sign * u
@@ -102,8 +104,8 @@ def project_cone(space: DiscreteSpace, u: np.ndarray, sign: int = 1,
                                 np.zeros(n, dtype=bool), 0)
     if space.grid.dimension == 1:
         v, active = _concave_majorant(z)
-        return _certify(space, u, sign, v, active, 1, tol)
-    return _active_set(space, u, sign, tol, max_iter)
+        return _certify(space, u, sign, v, active, 1)
+    return _active_set(space, u, sign)
 
 
 def _concave_majorant(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +146,7 @@ def _upper_hull(xs: list, ys: list, end: int) -> tuple[list, list]:
     return hx, hy
 
 
-def _active_set(space: DiscreteSpace, u: np.ndarray, sign: int, tol: float,
-                max_iter: int) -> ProjectionResult:
+def _active_set(space: DiscreteSpace, u: np.ndarray, sign: int) -> ProjectionResult:
     """Primal-dual active-set projection (Hintermueller-Ito-Kunisch) on any grid.
 
     The iteration maps each active set to the next deterministically, so an
@@ -158,7 +159,7 @@ def _active_set(space: DiscreteSpace, u: np.ndarray, sign: int, tol: float,
     seen = {active.tobytes()}
     v = np.zeros(n)
     Az = space.A @ z
-    for it in range(1, max_iter + 1):
+    for it in range(1, ACTIVE_SET_MAX_ITER + 1):
         inactive = ~active
         v.fill(0.0)
         if inactive.any():
@@ -166,21 +167,20 @@ def _active_set(space: DiscreteSpace, u: np.ndarray, sign: int, tol: float,
             v[idx] = space.solve_reduced(Az[idx], idx)
         new_active = (v - space.A @ (v - z)) < 0.0
         if np.array_equal(new_active, active):
-            return _certify(space, u, sign, v, active, it, tol)
+            return _certify(space, u, sign, v, active, it)
         if new_active.tobytes() in seen:
-            return _certify(space, u, sign, v, active, it, tol,
+            return _certify(space, u, sign, v, active, it,
                             f"active set cycled after {it} iterations; ")
         seen.add(new_active.tobytes())
         active = new_active
-    raise ProjectionError(f"active set did not settle after {max_iter} iterations")
+    raise ProjectionError(f"active set did not settle after {ACTIVE_SET_MAX_ITER} iterations")
 
 
 def _certify(space: DiscreteSpace, u: np.ndarray, sign: int, v: np.ndarray,
-             active: np.ndarray, iterations: int, tol: float,
-             context: str = "") -> ProjectionResult:
+             active: np.ndarray, iterations: int, context: str = "") -> ProjectionResult:
     """Clamp v on the active block, then measure the KKT residual honestly.
 
-    Raises ProjectionError when the residual is above tol * max(1, |z|_inf).
+    Raises ProjectionError when the residual is above KKT_TOL * max(1, |z|_inf).
     """
     z = sign * u
     v[active] = 0.0
@@ -191,8 +191,8 @@ def _certify(space: DiscreteSpace, u: np.ndarray, sign: int, v: np.ndarray,
         float(-min(r[active].min(initial=0.0), 0.0)) if active.any() else 0.0,
         float(np.max(np.abs(v * r))) if len(v) else 0.0,
     )
-    if kkt > tol * max(1.0, float(np.max(np.abs(z)))):
-        raise ProjectionError(f"{context}KKT residual {kkt:.3e} above tolerance {tol:.1e}")
+    if kkt > KKT_TOL * max(1.0, float(np.max(np.abs(z)))):
+        raise ProjectionError(f"{context}KKT residual {kkt:.3e} above tolerance {KKT_TOL:.1e}")
     proj = sign * v
     # u - proj = -sign * w, so its energy is w'r, to the bit
     dist = float(np.sqrt(max(w @ r, 0.0)))

@@ -74,8 +74,10 @@ def parse_potential(spec) -> PiecewisePotential:
             return _POTENTIALS[name](*vals)
         if isinstance(spec, dict):
             return polynomial_potential(
-                spec["breakpoints"], spec["coefficients"],
-                a1=float(spec["a1"]), q=float(spec["q"]), mu=float(spec["mu"]))
+                _value(spec["breakpoints"], tuple[float, ...], "potential.breakpoints"),
+                _value(spec["coefficients"], tuple[tuple[float, ...], ...],
+                       "potential.coefficients"),
+                **{k: _value(spec[k], float, f"potential.{k}") for k in ("a1", "q", "mu")})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad potential spec {spec!r}: {exc}") from exc
     raise ConfigError(f"potential spec must be string or object, got {type(spec)}")
@@ -163,19 +165,13 @@ def _check_finite(node, key: str = ""):
         raise ConfigError(f"{key} must be finite, got {node!r}")
 
 
-def load_config(source: str | dict) -> RunConfig:
-    """Parse a config document (JSON text or dict) over the defaults.
+def load_config(user: dict) -> RunConfig:
+    """Parse a decoded config document over the defaults; a root that is
+    not an object is a ConfigError.
 
     Every section is checked here, against the fields of the dataclass it
     builds, so a bad key or value fails before any stage runs.
     """
-    if isinstance(source, str):
-        try:
-            user = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    else:
-        user = source
     if not isinstance(user, dict):
         raise ConfigError("config root must be an object")
     unknown = set(user) - set(_DEFAULTS)

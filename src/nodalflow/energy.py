@@ -20,6 +20,17 @@ from .cones import ConeNeighborhood, project_cone
 from .mesh import DiscreteSpace, MeshError
 from .potential import PiecewisePotential
 
+SLOPE_TOL = 1e-10          # slope QP stop: norm of the unit-step projected gradient
+SLOPE_MAX_ITER = 100000    # slope QP iterations before SlopeError
+SET_SLOPE_TOL = 1e-7       # slope_on_set: 100x its L-BFGS-B gtol, and a term of its gap
+SET_SLOPE_MAX_ITER = 400   # slope_on_set: L-BFGS-B iterations per smoothing level
+ACTIVITY_TOL = 1e-8        # a cone constraint within this of its mu is active
+STATIONARITY_ROUNDS = 300  # alternating-minimization rounds of stationarity_residual
+PS_WINDOW = 10             # ps_monitor reads the last PS_WINDOW history entries,
+PS_PRODUCT_TOL = 1e-5      # and bounds the weighted slope (1+||u||) m,
+PS_ENERGY_TOL = 1e-6       # the relative energy spread,
+PS_CAUCHY_TOL = 1e-4       # and the late H^1 increments
+
 
 class SlopeError(RuntimeError):
     """Slope QP failed to reach its projected-gradient tolerance."""
@@ -164,18 +175,17 @@ def _box_dual_qp(space: DiscreteSpace, box: SubdifferentialBox, shift: np.ndarra
 
 
 def slope(prob: EnergyProblem, u: np.ndarray, w0: np.ndarray | None = None,
-          tol: float = 1e-10, max_iter: int = 100000,
           au: np.ndarray | None = None) -> SlopeResult:
     """m(u) = min over box selections w of the dual norm of Au - lam*M*w.
 
     Degenerate (pointwise) box coordinates are pinned; the free block runs
     projected gradient with fixed step 1/L until the unit-step projected
-    gradient has norm <= tol.
+    gradient has norm <= SLOPE_TOL.
     """
     space = prob.space
     box = subdifferential_box(prob, u, au)
-    w, iterations = _box_dual_qp(space, box, np.zeros(space.dim), w0, tol,
-                                 max_iter, prob.step_bound)
+    w, iterations = _box_dual_qp(space, box, np.zeros(space.dim), w0, SLOPE_TOL,
+                                 SLOPE_MAX_ITER, prob.step_bound)
     g = box.gradient_vector(w)
     v = space.solve(g)
     value = float(np.sqrt(max(g @ v, 0.0)))
@@ -210,8 +220,7 @@ def _set_signs(region: SetSpec) -> tuple[ConeNeighborhood, ...]:
     return tuple(region)
 
 
-def slope_on_set(prob: EnergyProblem, u: np.ndarray, region: SetSpec,
-                 tol: float = 1e-7, max_iter: int = 400) -> SetSlopeResult:
+def slope_on_set(prob: EnergyProblem, u: np.ndarray, region: SetSpec) -> SetSlopeResult:
     """m_D(u): inf over subgradients of the sup of <x*, u-y> over y in D near u.
 
     Uses the exact Fenchel splitting of the support function of (u-D) cap B(0,1):
@@ -272,18 +281,17 @@ def slope_on_set(prob: EnergyProblem, u: np.ndarray, region: SetSpec,
     eps_final = 1e-9 * scale
     for eps in (1e-3 * scale, 1e-6 * scale, eps_final):
         res = minimize(objective, x, args=(eps,), jac=True, method="L-BFGS-B",
-                       bounds=bounds, options={"maxiter": max_iter, "ftol": 1e-14,
-                                               "gtol": tol * 1e-2})
+                       bounds=bounds, options={"maxiter": SET_SLOPE_MAX_ITER, "ftol": 1e-14,
+                                               "gtol": SET_SLOPE_TOL * 1e-2})
         x = res.x
         val = float(res.fun)
         total_iters += int(res.nit)
         ok = ok and (res.status in (0, 2))
-    gap = (n_mult + 1) * eps_final + tol
+    gap = (n_mult + 1) * eps_final + SET_SLOPE_TOL
     return SetSlopeResult(max(val, 0.0), gap, x[:n], ok, total_iters)
 
 
-def stationarity_residual(prob: EnergyProblem, u: np.ndarray, region: SetSpec,
-                          activity_tol: float = 1e-8, rounds: int = 300) -> float:
+def stationarity_residual(prob: EnergyProblem, u: np.ndarray, region: SetSpec) -> float:
     """Normal-cone stationarity certificate for u relative to D.
 
     Returns min over box selections w and multipliers t >= 0 of the dual norm of
@@ -298,7 +306,7 @@ def stationarity_residual(prob: EnergyProblem, u: np.ndarray, region: SetSpec,
     normals = []
     for part in _set_signs(region):
         pr = project_cone(space, u, part.sign)
-        if pr.distance >= part.mu - activity_tol and pr.distance > 1e-14:
+        if pr.distance >= part.mu - ACTIVITY_TOL and pr.distance > 1e-14:
             normals.append(pr.residual / pr.distance)
     k = len(normals)
     a_normals = [space.A @ nrm for nrm in normals]
@@ -307,9 +315,9 @@ def stationarity_residual(prob: EnergyProblem, u: np.ndarray, region: SetSpec,
     t = np.zeros(k)
     w = 0.5 * (box.lo + box.hi)
     value = np.inf
-    for _ in range(rounds):
+    for _ in range(STATIONARITY_ROUNDS):
         shift = sum(t[i] * a_normals[i] for i in range(k)) if k else np.zeros(space.dim)
-        w, _ = _box_dual_qp(space, box, shift, w, 1e-12, 100000, prob.step_bound)
+        w, _ = _box_dual_qp(space, box, shift, w, 1e-12, SLOPE_MAX_ITER, prob.step_bound)
         r = box.gradient_vector(w) + shift
         for i in range(k):
             # exact 1D minimization in t_i holding everything else fixed
@@ -354,34 +362,33 @@ class PSReport:
                 "slope_limit": self.slope_limit, "norm_limit": self.norm_limit}
 
 
-def ps_monitor(space: DiscreteSpace, history, window: int = 10,
-               product_tol: float = 1e-5, energy_tol: float = 1e-6,
-               cauchy_tol: float = 1e-4) -> PSReport:
+def ps_monitor(space: DiscreteSpace, history) -> PSReport:
     """Testable shadow of the compactness condition on a finite history.
 
     ``history`` is a sequence of (u, J, m) triples.  Passing means the weighted
     slope (1+||u||) m decays below tolerance over the tail, the energies
     stabilize, and the tail of the u-sequence is Cauchy in the energy norm.
+    The PS_* constants set the tail and the tolerances.
     """
     if len(history) == 0:
         raise ValueError("ps_monitor needs a nonempty history")
-    tail = list(history)[-max(2, min(window, len(history))):]
+    tail = list(history)[-max(2, min(PS_WINDOW, len(history))):]
     us = [space.check_field(t[0]) for t in tail]
     js = np.array([float(t[1]) for t in tail])
     products = np.array([(1.0 + space.h1_norm(u)) * float(t[2])
                          for u, t in zip(us, tail)])
     product_tail = float(products[-1])
-    product_ok = product_tail <= product_tol and (
-        len(products) < 3 or products[-1] <= products[0] + product_tol)
+    product_ok = product_tail <= PS_PRODUCT_TOL and (
+        len(products) < 3 or products[-1] <= products[0] + PS_PRODUCT_TOL)
     energy_spread = float(js.max() - js.min())
-    energy_ok = energy_spread <= energy_tol * (1.0 + float(np.abs(js).max()))
+    energy_ok = energy_spread <= PS_ENERGY_TOL * (1.0 + float(np.abs(js).max()))
     if len(us) >= 2:
         increments = [space.h1_norm(b - a) for a, b in zip(us, us[1:])]
         # late increments are what a Cauchy tail controls
         cauchy_increment = float(max(increments[-3:]))
     else:
         cauchy_increment = 0.0
-    cauchy_ok = cauchy_increment <= cauchy_tol
+    cauchy_ok = cauchy_increment <= PS_CAUCHY_TOL
     return PSReport(
         product_tail, product_ok, energy_spread, energy_ok,
         cauchy_increment, cauchy_ok,

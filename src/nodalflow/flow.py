@@ -41,6 +41,7 @@ DT_MIN = 1e-12   # a step below this fails the flow
 DT_MAX = 0.5     # step ceiling
 ENERGY_SLACK = 5e-14   # relative rounding slack of an energy comparison
 DISP_CAP = 0.5   # per-step displacement bound: dt <= DISP_CAP/(1+||u||)
+CONE_TOL = 1e-7  # slack of monitor_invariance on a cone distance past mu0
 INTERNAL = {"internal": True}   # field metadata: set by the solver, not by a config
 _MEASURED = ("d_plus", "d_minus", "norm")   # FlowState values a space can measure
 
@@ -279,8 +280,7 @@ class InvarianceVerdict:
                 "passed": self.passed, "violations": self.violations}
 
 
-def monitor_invariance(traj: Trajectory, mu0: float, *,
-                       cone_tol: float = 1e-7) -> InvarianceVerdict:
+def monitor_invariance(traj: Trajectory, mu0: float) -> InvarianceVerdict:
     """Check cone invariance, energy monotonicity and the Gronwall norm bound."""
     if not traj.states:
         raise ValueError("empty trajectory")
@@ -290,13 +290,13 @@ def monitor_invariance(traj: Trajectory, mu0: float, *,
     cone_ok = True
     if first.label in (RegionLabel.POSITIVE, RegionLabel.OVERLAP):
         for i, s in enumerate(traj.states):
-            if s.d_plus > mu0 + cone_tol:
+            if s.d_plus > mu0 + CONE_TOL:
                 cone_ok = False
                 violations.append({"index": i, "kind": "left_positive_neighborhood",
                                    "d_plus": s.d_plus})
     if first.label in (RegionLabel.NEGATIVE, RegionLabel.OVERLAP):
         for i, s in enumerate(traj.states):
-            if s.d_minus > mu0 + cone_tol:
+            if s.d_minus > mu0 + CONE_TOL:
                 cone_ok = False
                 violations.append({"index": i, "kind": "left_negative_neighborhood",
                                    "d_minus": s.d_minus})
@@ -400,17 +400,15 @@ def load_checkpoint(path: str, space: DiscreteSpace | None = None) -> Checkpoint
     return Checkpoint(states, dt_next, data[:end])
 
 
-def resume_flow(prob: EnergyProblem, config: FlowConfig, checkpoint: str | Checkpoint,
+def resume_flow(prob: EnergyProblem, config: FlowConfig, checkpoint: Checkpoint,
                 checkpoint_path: str | None = None) -> Trajectory:
     """Continue a checkpointed flow from its last committed state.
 
-    ``checkpoint`` is a checkpoint file or what load_checkpoint(path,
-    prob.space) returned for one.  With ``config.checkpoint_every`` set, the
-    resumed run writes the source's committed bytes and then its own states to
-    ``checkpoint_path``; the source is only read.
+    ``checkpoint`` is what load_checkpoint(path, prob.space) returned.  With
+    ``config.checkpoint_every`` set, the resumed run writes the source's
+    committed bytes and then its own states to ``checkpoint_path``; the source
+    is only read.
     """
-    if isinstance(checkpoint, str):
-        checkpoint = load_checkpoint(checkpoint, prob.space)
     return integrate_flow(prob, checkpoint.states[-1].u, config,
                           checkpoint_path=checkpoint_path,
                           _resume=(checkpoint.states, checkpoint.dt_next, checkpoint.committed))

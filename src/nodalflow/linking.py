@@ -45,6 +45,9 @@ CLASSIFY_MAX_CHUNKS = 8    # chunks before a descent is left unresolved
 MESH_TOL = 1e-2        # floor of the surface's J-resolution at the maximizer
 SURFACE_NR = 7         # radial nodes of the surface's parameter grid
 SURFACE_NT = 25        # angular nodes of the surface's parameter grid
+ALPHA_ARC_POINTS = 96  # points of the radius-R arc alpha is the max over
+BETA_SAMPLES = 64      # points of T beta is the min over
+NEWTON_MAX_ITER = 50   # damped Newton steps of one polish
 # what the separatrix extraction counts: bisection rounds, Newton attempts,
 # and corrected points rejected by region label and by energy window
 EXTRACTION_COUNTS = ("rounds", "newton", "off_label", "off_window")
@@ -179,17 +182,16 @@ def build_frame(prob: EnergyProblem, mu0: float, rng: np.random.Generator) -> Li
 
 
 def estimate_alpha_beta(prob: EnergyProblem, frame: LinkingFrame,
-                        rng: np.random.Generator, n_arc: int = 96,
-                        n_t: int = 64) -> tuple[float, float]:
+                        rng: np.random.Generator) -> tuple[float, float]:
     """alpha = max J over the sign-changing part of dQ, beta = min J over T.
 
     Only the radius-R arc is labelled: the bottom segment of dQ is the
     multiples of phi1^, and phi1 > 0 puts them in the cones."""
     space = prob.space
-    arc = frame.q_points([1.0], np.linspace(0.0, np.pi, n_arc))[0]
+    arc = frame.q_points([1.0], np.linspace(0.0, np.pi, ALPHA_ARC_POINTS))[0]
     changing = [u for u in arc
                 if region_of(space, u, frame.mu0) is RegionLabel.SIGN_CHANGING]
-    beta = float(np.min(energies(prob, sample_t_sphere(space, frame, n_t, rng))))
+    beta = float(np.min(energies(prob, sample_t_sphere(space, frame, BETA_SAMPLES, rng))))
     if not changing:
         raise NoLinkingWindow("no sign-changing points found on the Q boundary")
     alpha = float(np.max(energies(prob, changing)))
@@ -306,7 +308,7 @@ class MinimaxReport:
     candidate_slope: float
     label: RegionLabel | None
     converged: bool
-    mesh_tolerance: float = 0.0   # J-resolution of the surface mesh at the maximizer
+    mesh_tolerance: float   # J-resolution of the surface mesh at the maximizer
     candidate_energy: float | None = None   # J(candidate); not part of to_dict
     # EXTRACTION_COUNTS of all bisections; for the log, not part of to_dict
     extraction: dict = field(default_factory=dict)
@@ -395,8 +397,7 @@ def _potential_curvature(prob: EnergyProblem, u: np.ndarray) -> np.ndarray:
     return c * dw
 
 
-def _newton_polish(prob: EnergyProblem, u0: np.ndarray, tol_m: float,
-                   max_iter: int = 50):
+def _newton_polish(prob: EnergyProblem, u0: np.ndarray, tol_m: float):
     """Damped Newton corrector on the stationarity system Au = lam*M*j'(u).
 
     The descending flow cannot park at a saddle to high accuracy (transverse
@@ -405,7 +406,7 @@ def _newton_polish(prob: EnergyProblem, u0: np.ndarray, tol_m: float,
     space = prob.space
     u = u0.copy()
     res = slope(prob, u)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if (1.0 + space.h1_norm(u)) * res.value <= tol_m:
             return u
         jac = space.A - prob.lam * sp_diags(space.M_diag * _potential_curvature(prob, u))

@@ -25,6 +25,8 @@ class MeshError(ValueError):
 
 # eigenvalues this close (relative) are one eigenvalue computed in two rounding orders
 EIGEN_TIE_RTOL = 1e-12
+# sign_changes ignores nodes below this fraction of the field's sup norm
+SIGN_CHANGE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -253,13 +255,13 @@ def build_space(spec: GridSpec) -> DiscreteSpace:
     return DiscreteSpace(spec)
 
 
-def sign_changes(u: np.ndarray, rel_tol: float = 1e-8) -> int:
+def sign_changes(u: np.ndarray) -> int:
     """Count sign alternations along a 1D nodal field, ignoring near-zero nodes."""
     u = np.asarray(u, dtype=float)
     scale = np.max(np.abs(u))
     if scale == 0.0:
         return 0
-    signs = np.sign(u[np.abs(u) > rel_tol * scale])
+    signs = np.sign(u[np.abs(u) > SIGN_CHANGE_RTOL * scale])
     if signs.size < 2:
         return 0
     return int(np.sum(signs[1:] != signs[:-1]))

@@ -249,15 +249,11 @@ def polynomial_potential(breakpoints: Sequence[float], coefficients: Sequence[Se
 
 # -- hypothesis checking ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SamplePlan:
-    s_max: float = 5.0
-    n_samples: int = 400
-    dyadic_depth: int = 24
-    ladder: tuple[float, ...] = (10.0, 100.0, 1000.0)
-    mu_hat: float = 1.0  # multiplier on the inf-subgradient term of the superlinearity quotient
-    small_quotient_tol: float = 1e-2
-    seed: int = 0
+HYP_S_MAX = 5.0                     # (ii), (v): uniform draws in [-HYP_S_MAX, HYP_S_MAX]
+HYP_SAMPLES = 400                   # (ii), (v): that many, plus the breakpoints
+HYP_LADDER = (10.0, 100.0, 1000.0)  # (iii): |z| of the superlinearity ladder
+HYP_DYADIC_DEPTH = 24               # (iv): z = 2^-k for k below this
+HYP_SMALL_QUOTIENT = 1e-2           # (iv): bound on the last quotient 2j(z)/z^2
 
 
 @dataclass
@@ -302,15 +298,16 @@ class HypothesisReport:
         }
 
 
-def check_hypotheses(p: PiecewisePotential, plan: SamplePlan = SamplePlan()) -> HypothesisReport:
-    """Sampled verification of the structural conditions on j.
+def check_hypotheses(p: PiecewisePotential, seed: int = 0) -> HypothesisReport:
+    """Sampled verification of the structural conditions on j, at the HYP_*
+    sampling plan; ``seed`` draws the samples of (ii) and (v).
 
     (i) continuity across breakpoints plus j(0)=0; (ii) |xi| <= a1(1+|s|^{q-1});
     (iii) positive superlinearity quotient on the large-|z| ladder;
     (iv) 2j(z)/z^2 -> 0 along a dyadic sequence; (v) z*xi >= 0.
     """
-    rng = np.random.default_rng(plan.seed)
-    s = rng.uniform(-plan.s_max, plan.s_max, plan.n_samples)
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(-HYP_S_MAX, HYP_S_MAX, HYP_SAMPLES)
     s = np.concatenate([s, np.asarray(p.breakpoints, dtype=float)])
 
     # (i): j(0) = 0 and no jump across breakpoints (construction enforces these;
@@ -327,13 +324,13 @@ def check_hypotheses(p: PiecewisePotential, plan: SamplePlan = SamplePlan()) -> 
     k = int(np.argmax(excess))
     check_ii = HypothesisCheck(excess[k] <= 1e-9 * (1 + bound[k]), float(excess[k]), float(s[k]))
 
-    # (iii): quotient (mu_hat * inf_{xi} xi*z - 2 j(z)) / |z|^mu on the ladder, both signs.
+    # (iii): quotient (inf_{xi} xi*z - 2 j(z)) / |z|^mu on the ladder, both signs.
     quotients, zs = [], []
-    for z0 in plan.ladder:
+    for z0 in HYP_LADDER:
         for z in (z0, -z0):
             lo_z, hi_z = p.interval_arrays(np.asarray([z]))
             inf_prod = min(lo_z[0] * z, hi_z[0] * z)
-            quotients.append((plan.mu_hat * inf_prod - 2.0 * p._value_scalar(z)) / abs(z) ** p.mu)
+            quotients.append((inf_prod - 2.0 * p._value_scalar(z)) / abs(z) ** p.mu)
             zs.append(z)
     quotients = np.asarray(quotients)
     worst_q = float(np.min(quotients))
@@ -344,10 +341,10 @@ def check_hypotheses(p: PiecewisePotential, plan: SamplePlan = SamplePlan()) -> 
     )
 
     # (iv): dyadic z -> 0, both signs; require the tail to shrink below tolerance.
-    z = 2.0 ** -np.arange(plan.dyadic_depth, dtype=float)
+    z = 2.0 ** -np.arange(HYP_DYADIC_DEPTH, dtype=float)
     quot = np.maximum(np.abs(2 * p.value(z) / z**2), np.abs(2 * p.value(-z) / z**2))
     tail = float(quot[-1])
-    shrinking = tail <= plan.small_quotient_tol and tail <= 0.5 * float(quot[0]) + 1e-12
+    shrinking = tail <= HYP_SMALL_QUOTIENT and tail <= 0.5 * float(quot[0]) + 1e-12
     check_iv = HypothesisCheck(shrinking, tail, float(z[-1]))
 
     neg = np.minimum(lo * s, hi * s)

@@ -137,9 +137,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", str(missing)]) == 2
 
 
+_QUARTIC = [0, 0, 0, 0, 0.25]
+_TABLE = {"breakpoints": [], "coefficients": [_QUARTIC], "a1": 1.0, "q": 4.0, "mu": 4.0}
+
+
 def test_invalid_potential_exits_2(tmp_path, capsys):
-    # a named dict is not a potential form
-    for potential in ("power:2", {"name": "power", "q": 4.0}):
+    # a named dict is not a potential form; a table's numbers are numbers,
+    # not booleans or numeric strings
+    for potential in ("power:2", {"name": "power", "q": 4.0},
+                      dict(_TABLE, a1=True), dict(_TABLE, q="4"),
+                      dict(_TABLE, coefficients=[[0, 0, 0, 0, True]]),
+                      dict(_TABLE, breakpoints=["0.5"], coefficients=[_QUARTIC] * 2)):
         path, _ = small_config(tmp_path, potential=potential)
         assert main(["solve", "--config", path]) == 2
         err = capsys.readouterr().err
@@ -214,7 +222,7 @@ def test_the_check_validates_the_constants_that_chose_mu0(tmp_path):
 @pytest.mark.parametrize("n, potential", [(63, "two_slope:1,2"), (223, "power:4")])
 def test_solves_that_the_active_set_could_not_project(tmp_path, n, potential):
     # n=63 two_slope: a Schauder-stage active set cycled; n=223: the active
-    # set needed more than max_iter iterations
+    # set needed more than ACTIVE_SET_MAX_ITER iterations
     path, _ = small_config(tmp_path, grid={"dimension": 1, "bounds": [0.0, 1.0], "n": n},
                            potential=potential, seed=1)
     out = tmp_path / "out"
@@ -796,7 +804,7 @@ def test_flow_start_csv_of_wrong_length_exits_2(tmp_path, capsys, space_63):
 def test_readme_config_example_loads():
     readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
     example = re.search(r"Example:\n\n```json\n(.*?)```", readme, re.S).group(1)
-    assert load_config(example).raw == _merged(json.loads(example))
+    assert load_config(json.loads(example)).raw == _merged(json.loads(example))
 
 
 _README_TYPES = {int: "integer", float: "number", int | None: "integer or null"}

@@ -191,7 +191,7 @@ def test_1d_projection_matches_enumeration_oracle(values, sign):
 
 def test_1d_projection_certifies_sign_changing_fields_at_n1023(rng):
     # the active set needs up to ~n/4.6 iterations on smooth fields, more
-    # than max_iter
+    # than ACTIVE_SET_MAX_ITER
     space = nf.build_space(nf.GridSpec.interval(0.0, 1.0, 1023))
     x = space.grid.coords()[:, 0]
     fields = [np.sin(2 * np.pi * x), np.cos(3 * np.pi * x), np.sin(2 * np.pi * x) + 0.3,
@@ -206,7 +206,7 @@ def test_1d_projection_certifies_sign_changing_fields_at_n1023(rng):
 
 
 def test_active_set_returns_a_certified_iterate_when_it_cycles(space_63):
-    pr = _active_set(space_63, CYCLING_FIELD, -1, tol=1e-9, max_iter=80)
+    pr = _active_set(space_63, CYCLING_FIELD, -1)
     # iteration 6 yields iteration 5's active set again, so the cycle guard ends it
     assert pr.iterations == 6
     assert pr.kkt_residual <= 1e-9

@@ -188,16 +188,15 @@ def test_monitor_flags_tampered_energy(quartic_63):
 
 
 def test_monitor_cone_tol_is_keyword_only(quartic_63):
-    # a FlowConfig passed after mu0 must not bind to cone_tol, where a
-    # sign-changing start would never read it and the check would pass
-    # silently; nor may a caller that still passes a space first
+    # the monitor takes the trajectory and mu0 alone: a FlowConfig passed
+    # after mu0, or a space passed first, must fail rather than pass silently
     cfg = nf.FlowConfig(mu0=0.3)
     traj = nf.integrate_flow(quartic_63, quartic_63.space.zero_field(), cfg)
     with pytest.raises(TypeError):
         nf.monitor_invariance(traj, 0.3, cfg)
     with pytest.raises(TypeError):
         nf.monitor_invariance(quartic_63.space, traj, 0.3, cfg)
-    assert nf.monitor_invariance(traj, 0.3, cone_tol=0.0).passed
+    assert nf.monitor_invariance(traj, 0.3).passed
 
 
 def test_flow_against_newton_oracle(quartic_63):
@@ -335,7 +334,7 @@ def test_resume_matches_uninterrupted(quartic_63, tmp_path):
                             max_steps=7)
     path = str(tmp_path / "ck.json")
     nf.integrate_flow(quartic_63, u0, cut_cfg, checkpoint_path=path)
-    resumed = nf.resume_flow(quartic_63, full_cfg, path)
+    resumed = nf.resume_flow(quartic_63, full_cfg, load_checkpoint(path, quartic_63.space))
     assert resumed.termination == full.termination
     assert len(resumed.states) == len(full.states)
     for a, b in zip(resumed.states, full.states):
@@ -352,7 +351,8 @@ def test_resume_past_t_max_labels_no_state(quartic_63, tmp_path, monkeypatch):
     real = flow.region_of
     monkeypatch.setattr(flow, "region_of",
                         lambda space, u, mu0: calls.append(1) or real(space, u, mu0))
-    resumed = nf.resume_flow(quartic_63, nf.FlowConfig(mu0=0.3, t_max=0.0), path)
+    resumed = nf.resume_flow(quartic_63, nf.FlowConfig(mu0=0.3, t_max=0.0),
+                             load_checkpoint(path, quartic_63.space))
     assert resumed.termination is nf.Termination.MAX_TIME
     assert not calls
     # the head's norm has the bits of the uninterrupted state's
@@ -380,7 +380,7 @@ def test_torn_checkpoint_resumes_from_last_commit(quartic_63, tmp_path):
         for a, b in zip(states, full.states):
             assert a.summary() == b.summary() and np.array_equal(a.u, b.u)
         assert dt_next == min(1.5 * full.states[10].dt_used, DT_MAX)
-        resumed = nf.resume_flow(quartic_63, cfg, str(torn))
+        resumed = nf.resume_flow(quartic_63, cfg, load_checkpoint(str(torn), quartic_63.space))
         assert resumed.termination == full.termination
         assert resumed.to_csv(("h",)) == full.to_csv(("h",))
 
@@ -397,7 +397,8 @@ def test_resume_copies_the_committed_prefix(quartic_63, tmp_path):
     torn = tmp_path / "torn.json"
     torn.write_bytes(prefix + lines[commits[1] + 1][:100])
     out = tmp_path / "out.json"
-    nf.resume_flow(quartic_63, cfg, str(torn), checkpoint_path=str(out))
+    nf.resume_flow(quartic_63, cfg, load_checkpoint(str(torn), quartic_63.space),
+                   checkpoint_path=str(out))
     assert out.read_bytes() == path.read_bytes()
     assert torn.read_bytes() == prefix + lines[commits[1] + 1][:100]
 
@@ -420,7 +421,8 @@ def test_resume_copies_a_commit_written_with_other_key_order(quartic_63, tmp_pat
             break
     (tmp_path / "src.json").write_bytes(source)
     out = tmp_path / "out.json"
-    resumed = nf.resume_flow(quartic_63, cfg, str(tmp_path / "src.json"),
+    resumed = nf.resume_flow(quartic_63, cfg,
+                             load_checkpoint(str(tmp_path / "src.json"), quartic_63.space),
                              checkpoint_path=str(out))
     assert resumed.to_csv(("h",)) == full.to_csv(("h",))
     assert out.read_bytes().startswith(source)
