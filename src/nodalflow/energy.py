@@ -26,6 +26,7 @@ SET_SLOPE_TOL = 1e-7       # slope_on_set: 100x its L-BFGS-B gtol, and a term of
 SET_SLOPE_MAX_ITER = 400   # slope_on_set: L-BFGS-B iterations per smoothing level
 ACTIVITY_TOL = 1e-8        # a cone constraint within this of its mu is active
 STATIONARITY_ROUNDS = 300  # alternating-minimization rounds of stationarity_residual
+STATIONARITY_TOL = 1e-12   # stationarity_residual: its selection QP's stop
 PS_WINDOW = 10             # ps_monitor reads the last PS_WINDOW history entries,
 PS_PRODUCT_TOL = 1e-5      # and bounds the weighted slope (1+||u||) m,
 PS_ENERGY_TOL = 1e-6       # the relative energy spread,
@@ -142,11 +143,12 @@ class SlopeResult:
                 "riesz_sup_norm": float(np.max(np.abs(self.riesz)))}
 
 
-def _box_dual_qp(space: DiscreteSpace, box: SubdifferentialBox, shift: np.ndarray,
-                 w0: np.ndarray | None, tol: float, max_iter: int,
-                 step_bound: float) -> tuple[np.ndarray, int]:
+def _box_dual_qp(prob: EnergyProblem, box: SubdifferentialBox, shift: np.ndarray,
+                 w0: np.ndarray | None, tol: float) -> tuple[np.ndarray, int]:
     """Projected gradient for min over box selections w of the dual norm of
-    (base + shift) - lam*M*w; returns (w*, iterations)."""
+    (base + shift) - lam*M*w, with fixed step 1/prob.step_bound and at most
+    SLOPE_MAX_ITER iterations; returns (w*, iterations)."""
+    space = prob.space
     lo, hi = box.lo, box.hi
     width = hi - lo
     free = width > 1e-14 * (1.0 + np.abs(lo))
@@ -154,8 +156,8 @@ def _box_dual_qp(space: DiscreteSpace, box: SubdifferentialBox, shift: np.ndarra
     w[~free] = lo[~free]
     iterations = 0
     if free.any():
-        step = 1.0 / step_bound
-        for iterations in range(1, max_iter + 1):
+        step = 1.0 / prob.step_bound
+        for iterations in range(1, SLOPE_MAX_ITER + 1):
             g = box.gradient_vector(w) + shift
             v = space.solve(g)
             grad = -2.0 * box.lam * box.weights * v
@@ -169,7 +171,7 @@ def _box_dual_qp(space: DiscreteSpace, box: SubdifferentialBox, shift: np.ndarra
             w = w_new
         else:
             raise SlopeError(
-                f"projected gradient did not reach {tol:.1e} in {max_iter} iterations "
+                f"projected gradient did not reach {tol:.1e} in {SLOPE_MAX_ITER} iterations "
                 f"(residual {float(np.linalg.norm(pg)):.3e})")
     return w, iterations
 
@@ -184,8 +186,7 @@ def slope(prob: EnergyProblem, u: np.ndarray, w0: np.ndarray | None = None,
     """
     space = prob.space
     box = subdifferential_box(prob, u, au)
-    w, iterations = _box_dual_qp(space, box, np.zeros(space.dim), w0, SLOPE_TOL,
-                                 SLOPE_MAX_ITER, prob.step_bound)
+    w, iterations = _box_dual_qp(prob, box, np.zeros(space.dim), w0, SLOPE_TOL)
     g = box.gradient_vector(w)
     v = space.solve(g)
     value = float(np.sqrt(max(g @ v, 0.0)))
@@ -317,7 +318,7 @@ def stationarity_residual(prob: EnergyProblem, u: np.ndarray, region: SetSpec) -
     value = np.inf
     for _ in range(STATIONARITY_ROUNDS):
         shift = sum(t[i] * a_normals[i] for i in range(k)) if k else np.zeros(space.dim)
-        w, _ = _box_dual_qp(space, box, shift, w, 1e-12, SLOPE_MAX_ITER, prob.step_bound)
+        w, _ = _box_dual_qp(prob, box, shift, w, STATIONARITY_TOL)
         r = box.gradient_vector(w) + shift
         for i in range(k):
             # exact 1D minimization in t_i holding everything else fixed

@@ -9,10 +9,11 @@ cone neighborhoods so each accepted step is a convex combination of u and the
 invariance displacement u - v(u)/(1+||u||).
 
 The product A u is formed once per field: for the initial state in
-``_make_state``, and for each Armijo trial in ``integrate_flow``.  The trial's
+``make_state``, and for each Armijo trial in ``integrate_flow``.  The trial's
 energy, and on acceptance its subdifferential box, slope and H^1 norm, all
 read that one array; only the cone-distance bounds of its label form their
-own products.
+own products.  A loaded state carries its norm from ``load_checkpoint``, so a
+resume forms only the slope of its head.
 
 A checkpoint is JSON Lines, appended to and never rewritten: one row per state
 with its ``trajectory.csv`` values and its field ``u`` as the base64 of the
@@ -26,8 +27,9 @@ from __future__ import annotations
 import base64
 import io
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +45,6 @@ ENERGY_SLACK = 5e-14   # relative rounding slack of an energy comparison
 DISP_CAP = 0.5   # per-step displacement bound: dt <= DISP_CAP/(1+||u||)
 CONE_TOL = 1e-7  # slack of monitor_invariance on a cone distance past mu0
 INTERNAL = {"internal": True}   # field metadata: set by the solver, not by a config
-_MEASURED = ("d_plus", "d_minus", "norm")   # FlowState values a space can measure
 
 
 class Termination(str, Enum):
@@ -72,49 +73,28 @@ class FlowConfig:
 class FlowState:
     """One point of a flow.
 
-    ``d_plus`` and ``d_minus`` are dist(u, P) and dist(u, -P), ``norm`` is
-    the H^1 norm of u.  A state given a ``space`` measures each of them that
-    is None the first time it is read (a distance by projection), and keeps
-    it; ``label`` never needs them.  ``norm`` is not part of ``summary``.
+    ``norm`` is the H^1 norm of u, or None for a state loaded without a
+    space.  ``d_plus`` and ``d_minus`` are dist(u, P) and dist(u, -P),
+    projected in ``space`` when first read and then kept; ``label`` never
+    needs them.  ``norm`` is not part of ``summary``.
     """
 
     t: float
     u: np.ndarray
     j: float
     m: float
-    d_plus: float | None
-    d_minus: float | None
     label: RegionLabel
     dt_used: float
-    # a factory, not a default: a class attribute would hide an unmeasured
-    # norm from __getattr__
-    norm: float | None = field(default_factory=lambda: None)
-    space: InitVar[DiscreteSpace | None] = None
+    norm: float | None
+    space: DiscreteSpace | None
 
-    def __post_init__(self, space):
-        if space is not None:
-            self._space = space
-            for name in _MEASURED:
-                if vars(self)[name] is None:
-                    delattr(self, name)
+    @cached_property
+    def d_plus(self) -> float:
+        return project_cone(self.space, self.u, 1).distance
 
-    def __getstate__(self):
-        # copies and pickles carry the measured values, not the space, whose
-        # factorization can be neither copied nor pickled
-        return dict(vars(self), **{name: getattr(self, name) for name in _MEASURED},
-                    _space=None)
-
-    def __getattr__(self, name):
-        # reached only for a value that is not measured yet
-        space = self.__dict__.get("_space")
-        if space is None or name not in _MEASURED:
-            raise AttributeError(name)
-        if name == "norm":
-            value = space.h1_norm(self.u)
-        else:
-            value = project_cone(space, self.u, 1 if name == "d_plus" else -1).distance
-        setattr(self, name, value)
-        return value
+    @cached_property
+    def d_minus(self) -> float:
+        return project_cone(self.space, self.u, -1).distance
 
     def summary(self) -> dict:
         return {"t": self.t, "j": self.j, "m": self.m, "d_plus": self.d_plus,
@@ -157,21 +137,18 @@ def pseudo_gradient(prob: EnergyProblem, u: np.ndarray,
     return (1.0 + norm_u) * min(res.value, 1.0) / res.value * res.riesz
 
 
-def _make_state(prob: EnergyProblem, u: np.ndarray, t: float, dt_used: float,
-                mu0: float, warm: dict, j: float | None = None,
-                au: np.ndarray | None = None) -> FlowState:
-    """The flow state at u; ``j`` and ``au``, when given, are energy(prob, u)
-    and A u.  ``warm`` receives the state's slope result."""
+def make_state(prob: EnergyProblem, u: np.ndarray, t: float, dt_used: float, mu0: float,
+               w0: np.ndarray | None, j: float | None = None,
+               au: np.ndarray | None = None) -> tuple[FlowState, SlopeResult]:
+    """The flow state at u and its slope result; ``w0`` warm-starts the slope
+    QP, and ``j`` and ``au``, when given, are energy(prob, u) and A u."""
     if au is None:
         au = prob.space.A @ u
-    res = slope(prob, u, w0=warm.get("w"), au=au)
-    warm["w"] = res.selection
-    warm["slope"] = res
+    res = slope(prob, u, w0=w0, au=au)
     # the bits of space.h1_norm(u), from the same A u
     norm = float(np.sqrt(max(float(u @ au), 0.0)))
     return FlowState(t, u.copy(), energy(prob, u, au) if j is None else j, res.value,
-                     None, None, region_of(prob.space, u, mu0), dt_used, norm,
-                     prob.space)
+                     region_of(prob.space, u, mu0), dt_used, norm, prob.space), res
 
 
 def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
@@ -184,7 +161,6 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
     1.5x on acceptance within [DT_MIN, cap].
     """
     space = prob.space
-    warm: dict = {}
     saved = 0   # states[:saved] are committed to checkpoint_path
     if _resume is not None:
         states, dt, committed = _resume
@@ -193,15 +169,11 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
             with open(checkpoint_path, "wb") as fh:
                 fh.write(committed)
             saved = len(states)
-        # refresh warm caches and the norm at the resumed head, from one A u
-        head = states[-1]
-        au = space.A @ head.u
-        warm["slope"] = slope(prob, head.u, au=au)
-        warm["w"] = warm["slope"].selection
-        head.norm = float(np.sqrt(max(float(head.u @ au), 0.0)))
+        res = slope(prob, states[-1].u)   # the loaded head carries its norm
     else:
         u0 = space.check_field(u0)
-        states = [_make_state(prob, u0, 0.0, 0.0, config.mu0, warm)]
+        state, res = make_state(prob, u0, 0.0, 0.0, config.mu0, None)
+        states = [state]
         dt = DT0
 
     termination = None
@@ -220,7 +192,7 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
         if config.j_floor is not None and s.j < config.j_floor:
             termination = Termination.ENERGY_FLOOR
             break
-        v = pseudo_gradient(prob, s.u, warm["slope"], norm_u)   # warm describes s
+        v = pseudo_gradient(prob, s.u, res, norm_u)   # res is the slope at s
 
         # ||v|| <= (1+||u||), so the displacement cap bounds each step's arc
         # length; trajectories then track the flow through saddle regions
@@ -246,7 +218,8 @@ def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,
             termination = Termination.STEP_FAILURE
             break
 
-        new = _make_state(prob, trial, s.t + dt, dt, config.mu0, warm, j_trial, a_trial)
+        new, res = make_state(prob, trial, s.t + dt, dt, config.mu0, res.selection,
+                              j_trial, a_trial)
         states.append(new)
         dt = min(dt * 1.5, DT_MAX)
         if (checkpoint_path and config.checkpoint_every
@@ -348,25 +321,23 @@ def save_checkpoint(path: str, states: list[FlowState], dt_next: float, start: i
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """The last commit of a checkpoint file; unpacks as (states, dt_next)."""
+    """The last commit of a checkpoint file."""
 
     states: list[FlowState]
     dt_next: float
     committed: bytes   # the file's bytes up to the end of that commit line
 
-    def __iter__(self):
-        return iter((self.states, self.dt_next))
-
 
 def load_checkpoint(path: str, space: DiscreteSpace | None = None) -> Checkpoint:
     """The last commit in the checkpoint at ``path``.
 
-    With ``space``, each loaded state measures its H^1 norm when first read.
     Rows after the last commit line, and a last line with no newline, are the
     tail of an interrupted write and are ignored.  Raises ValueError when the
     file holds no commit or a complete line that is neither a state row nor a
     commit of the rows before it; a row whose ``u`` is not base64 of whole
-    float64s, or not as long as the first row's, is no state row.
+    float64s, or not as long as the first row's, is no state row.  With
+    ``space``, each state carries its H^1 norm, and a committed field that
+    does not fit the space raises MeshError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -381,10 +352,10 @@ def load_checkpoint(path: str, space: DiscreteSpace | None = None) -> Checkpoint
             if "u" in row:
                 u = _decode_field(row["u"])
                 if not states or u.size == states[0].u.size:
-                    states.append(FlowState(
-                        t=row["t"], u=u, j=row["j"], m=row["m"],
-                        d_plus=row["d_plus"], d_minus=row["d_minus"],
-                        label=RegionLabel(row["label"]), dt_used=row["dt"], space=space))
+                    state = FlowState(row["t"], u, row["j"], row["m"],
+                                      RegionLabel(row["label"]), row["dt"], None, space)
+                    state.d_plus, state.d_minus = row["d_plus"], row["d_minus"]
+                    states.append(state)
                     continue
             if (set(row) == {"dt_next", "step"} and states
                     and row["step"] == len(states) - 1):
@@ -397,6 +368,9 @@ def load_checkpoint(path: str, space: DiscreteSpace | None = None) -> Checkpoint
     if dt_next is None:
         raise ValueError(f"{path}: no committed state")
     del states[committed:]
+    if space is not None:
+        for s in states:
+            s.norm = space.h1_norm(s.u)
     return Checkpoint(states, dt_next, data[:end])
 
 

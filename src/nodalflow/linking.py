@@ -28,7 +28,7 @@ from scipy.sparse.linalg import splu
 
 from .cones import RegionLabel, min_dist_to_cones, region_of
 from .energy import EnergyProblem, energies, slope
-from .flow import ENERGY_SLACK, FlowConfig, Termination, _make_state, integrate_flow
+from .flow import ENERGY_SLACK, FlowConfig, Termination, integrate_flow, make_state
 from .mesh import DiscreteSpace
 
 T_MODES = 8          # T directions are drawn from the first T_MODES eigenfields past phi1
@@ -458,7 +458,7 @@ def _bisect_separatrix(prob, a, b, class_a, cfg, mu0, floor_j,
             counts["newton"] += 1
             polished = _newton_polish(prob, dip.u, cfg.tol_m)
             if polished is not None:
-                found = _make_state(prob, polished, 0.0, 0.0, mu0, {})
+                found = make_state(prob, polished, 0.0, 0.0, mu0, None)[0]
                 # the flow's own rounding slack on an energy decrease
                 top = dip.j + ENERGY_SLACK * (1.0 + abs(dip.j))
                 if found.label is not RegionLabel.SIGN_CHANGING:

@@ -126,6 +126,11 @@ class DiscreteSpace:
         self._eigvals: np.ndarray | None = None
         self._eigvecs: np.ndarray | None = None
 
+    def __reduce__(self):
+        # copies and pickles rebuild from the grid: the factorization can be
+        # neither copied nor pickled
+        return DiscreteSpace, (self.grid,)
+
     # -- fields ---------------------------------------------------------
 
     def check_field(self, u: np.ndarray) -> np.ndarray:

@@ -239,6 +239,8 @@ def polynomial_potential(breakpoints: Sequence[float], coefficients: Sequence[Se
     vals, ders = [], []
     for coeffs in coefficients:
         c = np.asarray(coeffs, dtype=float)
+        if c.size == 0:
+            raise PotentialError("a coefficient piece must not be empty")
         dc = c[1:] * np.arange(1, len(c))
         vals.append(lambda s, c=c: np.polynomial.polynomial.polyval(s, c))
         ders.append(lambda s, dc=dc: np.polynomial.polynomial.polyval(s, dc)

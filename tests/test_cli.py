@@ -143,11 +143,13 @@ _TABLE = {"breakpoints": [], "coefficients": [_QUARTIC], "a1": 1.0, "q": 4.0, "m
 
 def test_invalid_potential_exits_2(tmp_path, capsys):
     # a named dict is not a potential form; a table's numbers are numbers,
-    # not booleans or numeric strings
+    # not booleans or numeric strings, and no piece is empty
     for potential in ("power:2", {"name": "power", "q": 4.0},
                       dict(_TABLE, a1=True), dict(_TABLE, q="4"),
                       dict(_TABLE, coefficients=[[0, 0, 0, 0, True]]),
-                      dict(_TABLE, breakpoints=["0.5"], coefficients=[_QUARTIC] * 2)):
+                      dict(_TABLE, breakpoints=["0.5"], coefficients=[_QUARTIC] * 2),
+                      dict(_TABLE, coefficients=[[]]),
+                      dict(_TABLE, breakpoints=[0.5], coefficients=[_QUARTIC, []])):
         path, _ = small_config(tmp_path, potential=potential)
         assert main(["solve", "--config", path]) == 2
         err = capsys.readouterr().err
@@ -501,10 +503,10 @@ def test_flow_and_resume_bytes(tmp_path):
 
     # the resume reads its source and writes its own checkpoint into --out
     assert open(source, "rb").read() == before
-    full, dt_full = load_checkpoint(os.path.join(out_full, "checkpoint.json"))
-    res, dt_res = load_checkpoint(os.path.join(out_res, "checkpoint.json"))
-    assert dt_res == dt_full and len(res) == len(full)
-    for a, b in zip(res, full):
+    full = load_checkpoint(os.path.join(out_full, "checkpoint.json"))
+    res = load_checkpoint(os.path.join(out_res, "checkpoint.json"))
+    assert res.dt_next == full.dt_next and len(res.states) == len(full.states)
+    for a, b in zip(res.states, full.states):
         assert a.summary() == b.summary() and a.u.tobytes() == b.u.tobytes()
 
 
@@ -529,7 +531,8 @@ def _bad_checkpoint(tmp_path, case):
     u = np.zeros(n)
     if case == "non_finite":
         u[3] = np.nan
-    state = nf.FlowState(0.0, u, 0.0, 0.0, 0.0, 0.0, nf.RegionLabel.OVERLAP, 0.0)
+    state = nf.FlowState(0.0, u, 0.0, 0.0, nf.RegionLabel.OVERLAP, 0.0, None, None)
+    state.d_plus, state.d_minus = 0.0, 0.0
     save_checkpoint(str(path), [state], 0.05)
     row, commit = path.read_text().splitlines(keepends=True)
     if case == "uncommitted":
@@ -596,12 +599,13 @@ def test_verify_passes_and_detects_tamper(tmp_path):
     out_f = str(tmp_path / "vflow")
     assert main(["flow", "--config", path, "--start", "2.5*phi2",
                  "--out", out_f]) == 0
-    states, dt_next = load_checkpoint(os.path.join(out_f, "checkpoint.json"))
+    checkpoint = load_checkpoint(os.path.join(out_f, "checkpoint.json"))
+    states = checkpoint.states
     for s in states[-3:]:
         s.m = 50.0
         s.u = s.u + 0.5 * np.arange(len(s.u))
     tampered = tmp_path / "tampered.json"
-    save_checkpoint(str(tampered), states, dt_next)
+    save_checkpoint(str(tampered), states, checkpoint.dt_next)
     out_t = str(tmp_path / "verify_t")
     assert main(["verify", "--config", path, "--start", str(tampered),
                  "--out", out_t]) == 5

@@ -159,11 +159,9 @@ def test_flow_states_carry_their_h1_norm(quartic_63, tmp_path, monkeypatch):
         assert s.norm == space.h1_norm(s.u) and "norm" not in s.summary()
     for copied in (copy.deepcopy(traj.states), pickle.loads(pickle.dumps(traj.states))):
         assert [s.norm for s in copied] == [s.norm for s in traj.states]
-    # a loaded state measures it when first read, and then keeps it
+    # a state loaded with its space carries it
     loaded = load_checkpoint(path, space).states
-    assert all("norm" not in vars(s) for s in loaded)
     assert [s.norm for s in loaded] == [s.norm for s in traj.states]
-    assert all("norm" in vars(s) for s in loaded)
     assert load_checkpoint(path).states[0].norm is None
     # the descent classifier and the Gronwall check read the kept norms
     from nodalflow.linking import _classify_descent
@@ -273,7 +271,7 @@ def test_checkpoint_roundtrip(quartic_63, tmp_path):
     u0 = 1.2 * quartic_63.space.eigenpairs(2)[1][1]
     path = str(tmp_path / "ck.json")
     traj = nf.integrate_flow(quartic_63, u0, cfg, checkpoint_path=path)
-    states, dt_next = load_checkpoint(path)
+    states = load_checkpoint(path).states
     assert len(states) == len(traj.states)
     for a, b in zip(states, traj.states):
         assert a.j == b.j and a.t == b.t and a.u.tobytes() == b.u.tobytes()
@@ -287,7 +285,9 @@ _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2, 1 / 3,
 
 
 def _checkpoint_state(u, t):
-    return nf.FlowState(t, u, 1.0, 0.5, 0.25, 0.125, nf.RegionLabel.OVERLAP, 0.05)
+    state = nf.FlowState(t, u, 1.0, 0.5, nf.RegionLabel.OVERLAP, 0.05, None, None)
+    state.d_plus, state.d_minus = 0.25, 0.125
+    return state
 
 
 @settings(max_examples=60)
@@ -375,7 +375,8 @@ def test_torn_checkpoint_resumes_from_last_commit(quartic_63, tmp_path):
                 b"".join(lines[:last + 3])):
         torn = tmp_path / "torn.json"
         torn.write_bytes(cut)
-        states, dt_next = load_checkpoint(str(torn))
+        loaded = load_checkpoint(str(torn))
+        states, dt_next = loaded.states, loaded.dt_next
         assert len(states) == 11
         for a, b in zip(states, full.states):
             assert a.summary() == b.summary() and np.array_equal(a.u, b.u)
@@ -426,9 +427,9 @@ def test_resume_copies_a_commit_written_with_other_key_order(quartic_63, tmp_pat
                              checkpoint_path=str(out))
     assert resumed.to_csv(("h",)) == full.to_csv(("h",))
     assert out.read_bytes().startswith(source)
-    states, dt_next = load_checkpoint(str(out))
-    assert [s.summary() for s in states] == [s.summary() for s in full.states]
-    assert dt_next == load_checkpoint(str(path)).dt_next
+    loaded = load_checkpoint(str(out))
+    assert [s.summary() for s in loaded.states] == [s.summary() for s in full.states]
+    assert loaded.dt_next == load_checkpoint(str(path)).dt_next
 
 
 def test_checkpoint_writes_each_state_once(quartic_63, tmp_path):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -157,6 +160,21 @@ def test_2d_quadrature_weight():
     u = np.ones(space.dim)
     hx, hy = space.grid.spacing
     assert space.l2_inner(u, u) == pytest.approx(16 * hx * hy)
+
+
+@pytest.mark.parametrize("spec", [nf.GridSpec.interval(0.0, 1.0, 31),
+                                  nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (9, 5))],
+                         ids=["1d", "2d"])
+def test_space_copies_and_pickles_rebuild_from_the_grid(spec, rng):
+    space = nf.build_space(spec)
+    pairs = space.eigenpairs(4)
+    g = rng.normal(size=space.dim)
+    for other in (copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
+        assert other is not space and other.grid == spec
+        assert (other.A != space.A).nnz == 0
+        for (lam_a, phi_a), (lam_b, phi_b) in zip(other.eigenpairs(4), pairs, strict=True):
+            assert lam_a == lam_b and phi_a.tobytes() == phi_b.tobytes()
+        assert other.solve(g).tobytes() == space.solve(g).tobytes()
 
 
 def test_sign_changes():

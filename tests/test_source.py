@@ -42,6 +42,33 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore names that ``source`` imports, at any depth, from a
+    nodalflow module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "nodalflow"):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.startswith("_")]
+    return sorted(found)
+
+
+def test_private_import_detector():
+    source = ("from .flow import _make_state, integrate_flow\n"
+              "from ._serial import dumps\nfrom nodalflow.cones import _active_set\n"
+              "from numpy import _globals\nimport nodalflow._serial\n"
+              "def f():\n    from .energy import _box_dual_qp as qp\n")
+    assert private_imports(source) == ["_active_set (line 3)", "_box_dual_qp (line 7)",
+                                       "_make_state (line 1)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_imports_across_modules(module):
+    # a name one module shares with another is public within the package
+    assert private_imports((SRC / module).read_text()) == []
+
+
 # Numeric keyword defaults that are data, not tolerances, with the reason each
 # stays settable.  Every other tolerance, cap or sample count is a module
 # constant, and FlowConfig's fields are the config schema README lists.
