@@ -2,8 +2,7 @@
 nonsmooth energies of the form 1/2 ||u||^2 - lambda * int j(x, u)."""
 
 from .cones import (ConeNeighborhood, InvarianceReport, ProjectionResult,
-                    RegionLabel, check_schauder, dist_to_cones, fit_mu0,
-                    project_cone, region_of)
+                    RegionLabel, check_schauder, fit_mu0, project_cone, region_of)
 from .config import ConfigError, RunConfig, config_hash, load_config
 from .energy import (EnergyProblem, PSReport, SetSlopeResult, SlopeResult,
                      SubdifferentialBox, energies, energy, ps_monitor, slope,

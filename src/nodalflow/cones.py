@@ -89,12 +89,20 @@ class ProjectionResult:
     iterations: int
 
 
-def project_cone(space: DiscreteSpace, u: np.ndarray, sign: int = 1) -> ProjectionResult:
+def project_cone(space: DiscreteSpace, u: np.ndarray, sign: int = 1,
+                 au: np.ndarray | None = None) -> ProjectionResult:
     """A-metric projection onto P (sign=+1) or -P (sign=-1).
 
     Solves min_{v >= 0} (v-z)'A(v-z) with z = sign*u; the multiplier is
-    r = A(v-z) with complementarity r_i v_i = 0.  1D grids take the concave
-    majorant; 2D grids the active set, where ACTIVE_SET_MAX_ITER applies.
+    r = A(v-z) with complementarity r_i v_i = 0.  ``au``, when given, is A u.
+
+    A field z <= 0 whose r = A(-z) has no negative entry lies in the A-polar
+    cone {y : Ay <= 0} of P, so by Moreau its projection is v = 0, every node
+    active, with KKT residual 0 and distance |u|_A: the bits the certificate
+    gives for v = 0, from one product with A, or none when ``au`` is given.
+    Only a z <= 0 can pass the test, since A^-1 >= 0.  Otherwise 1D grids take
+    the concave majorant; 2D grids the active set, where ACTIVE_SET_MAX_ITER
+    applies.
     """
     u = space.check_field(u)
     z = sign * u
@@ -102,6 +110,13 @@ def project_cone(space: DiscreteSpace, u: np.ndarray, sign: int = 1) -> Projecti
     if np.all(z >= 0.0):
         return ProjectionResult(u.copy(), np.zeros(n), 0.0, 0.0,
                                 np.zeros(n, dtype=bool), 0)
+    if np.all(z <= 0.0):
+        w = -z
+        r = space.A @ w if au is None else -sign * au
+        if r.min() >= 0.0:
+            proj = sign * np.zeros(n)
+            return ProjectionResult(proj, u - proj, float(np.sqrt(max(w @ r, 0.0))), 0.0,
+                                    np.ones(n, dtype=bool), 1)
     if space.grid.dimension == 1:
         v, active = _concave_majorant(z)
         return _certify(space, u, sign, v, active, 1)
@@ -199,11 +214,6 @@ def _certify(space: DiscreteSpace, u: np.ndarray, sign: int, v: np.ndarray,
     return ProjectionResult(proj, u - proj, dist, kkt, active, iterations)
 
 
-def dist_to_cones(space: DiscreteSpace, u: np.ndarray) -> tuple[float, float]:
-    """(dist(u, P), dist(u, -P)) in the energy norm."""
-    return (project_cone(space, u, 1).distance, project_cone(space, u, -1).distance)
-
-
 class _ConeDistance:
     """dist(u, sign*P) in three tiers, each computed when first read: two
     bracketing pairs of bounds, each inside the last, then the projected
@@ -228,8 +238,9 @@ class _ConeDistance:
     for a bound holds for the projected distance.
 
     The free lower bound pays: it decides 1,426 comparisons of a 1D n=127
-    solve, 1,214 of a 39x19 solve and 1,001 of a 1,000-step flow (power:4,
-    seed 1), each otherwise a Riesz solve (~6 us at n=127, ~38 us at 39x19).
+    solve and 1,214 of a 39x19 solve (power:4, seed 1), each otherwise a
+    Riesz solve (~6 us at n=127, ~38 us at 39x19).  A flow state in a cone is
+    labelled from its projected distances instead (flow.make_state).
     """
 
     def __init__(self, space: DiscreteSpace, u: np.ndarray, sign: int):
@@ -300,14 +311,19 @@ def min_dist_to_cones(space: DiscreteSpace, fields: list[np.ndarray]) -> float:
     return best
 
 
-def region_of(space: DiscreteSpace, u: np.ndarray, mu0: float) -> RegionLabel:
+def region_of(space: DiscreteSpace, u: np.ndarray, mu0: float,
+              dists: tuple[float, float] | None = None) -> RegionLabel:
     """Which of D+(mu0) and D-(mu0) hold u; the label that the projected
-    distances give, mostly decided without projecting."""
+    distances give.  It reads them from ``dists``, (dist(u, P), dist(u, -P)),
+    when given, and otherwise decides mostly without projecting."""
     if not 0 < mu0 < 1:
         raise ValueError(f"mu0 must lie in (0, 1), got {mu0}")
-    u = space.check_field(u)
-    near_p = _ConeDistance(space, u, 1).within(mu0)
-    near_m = _ConeDistance(space, u, -1).within(mu0)
+    if dists is not None:
+        near_p, near_m = dists[0] <= mu0, dists[1] <= mu0
+    else:
+        u = space.check_field(u)
+        near_p = _ConeDistance(space, u, 1).within(mu0)
+        near_m = _ConeDistance(space, u, -1).within(mu0)
     if near_p and near_m:
         return RegionLabel.OVERLAP
     if near_p:

@@ -11,9 +11,10 @@ invariance displacement u - v(u)/(1+||u||).
 The product A u is formed once per field: for the initial state in
 ``make_state``, and for each Armijo trial in ``integrate_flow``.  The trial's
 energy, and on acceptance its subdifferential box, slope and H^1 norm, all
-read that one array; only the cone-distance bounds of its label form their
-own products.  A loaded state carries its norm from ``load_checkpoint``, so a
-resume forms only the slope of its head.
+read that one array, and so does the projection that measures a state in P
+or -P from the other cone; only the cone-distance bounds that label any
+other state form their own products.  A loaded state carries its norm from
+``load_checkpoint``, so a resume forms only the slope of its head.
 
 A checkpoint is JSON Lines, appended to and never rewritten: one row per state
 with its ``trajectory.csv`` values and its field ``u`` as the base64 of the
@@ -74,9 +75,9 @@ class FlowState:
     """One point of a flow.
 
     ``norm`` is the H^1 norm of u, or None for a state loaded without a
-    space.  ``d_plus`` and ``d_minus`` are dist(u, P) and dist(u, -P),
-    projected in ``space`` when first read and then kept; ``label`` never
-    needs them.  ``norm`` is not part of ``summary``.
+    space.  ``d_plus`` and ``d_minus`` are dist(u, P) and dist(u, -P): set
+    by ``make_state`` for a state in P or -P, otherwise projected in
+    ``space`` when first read and then kept.  ``norm`` is not part of ``summary``.
     """
 
     t: float
@@ -141,14 +142,27 @@ def make_state(prob: EnergyProblem, u: np.ndarray, t: float, dt_used: float, mu0
                w0: np.ndarray | None, j: float | None = None,
                au: np.ndarray | None = None) -> tuple[FlowState, SlopeResult]:
     """The flow state at u and its slope result; ``w0`` warm-starts the slope
-    QP, and ``j`` and ``au``, when given, are energy(prob, u) and A u."""
+    QP, and ``j`` and ``au``, when given, are energy(prob, u) and A u.
+
+    A state in P or -P gets both cone distances now, the one to the other
+    cone by project_cone from the same A u, and its label from them; any
+    other state is labelled by region_of's bounds and projects when read."""
+    space = prob.space
     if au is None:
-        au = prob.space.A @ u
+        au = space.A @ u
     res = slope(prob, u, w0=w0, au=au)
     # the bits of space.h1_norm(u), from the same A u
     norm = float(np.sqrt(max(float(u @ au), 0.0)))
-    return FlowState(t, u.copy(), energy(prob, u, au) if j is None else j, res.value,
-                     region_of(prob.space, u, mu0), dt_used, norm, prob.space), res
+    dists = None
+    if np.all(u >= 0.0):
+        dists = (0.0, project_cone(space, u, -1, au).distance)
+    elif np.all(u <= 0.0):
+        dists = (project_cone(space, u, 1, au).distance, 0.0)
+    state = FlowState(t, u.copy(), energy(prob, u, au) if j is None else j, res.value,
+                      region_of(space, u, mu0, dists), dt_used, norm, space)
+    if dists is not None:
+        state.d_plus, state.d_minus = dists
+    return state, res
 
 
 def integrate_flow(prob: EnergyProblem, u0: np.ndarray, config: FlowConfig,

@@ -247,8 +247,8 @@ def test_acceptance_6_sign_changing_solve(solve_runs):
     assert nf.sign_changes(u) == 1
     assert rep["candidate_slope"] <= 1e-6
     mu0 = bench["invariance"]["mu0"]
-    d_plus, d_minus = nf.dist_to_cones(space, u)
-    assert d_plus > mu0 and d_minus > mu0
+    for sign in (1, -1):
+        assert nf.project_cone(space, u, sign).distance > mu0
 
     prob = nf.EnergyProblem(space, nf.power_potential(4), 1.0)
     xs = space.grid.coords().ravel()

@@ -99,11 +99,14 @@ def test_distance_zero_iff_nonnegative(space_63, rng):
 def test_dist_to_cones_examples(space_63):
     lam1, phi1 = space_63.eigenpairs(1)[0]
     _, phi2 = space_63.eigenpairs(2)[1]
-    assert nf.dist_to_cones(space_63, space_63.zero_field()) == (0.0, 0.0)
-    d = nf.dist_to_cones(space_63, phi1)
+    def dists(u):
+        return tuple(nf.project_cone(space_63, u, sign).distance for sign in (1, -1))
+
+    assert dists(space_63.zero_field()) == (0.0, 0.0)
+    d = dists(phi1)
     assert d[0] == 0.0
     assert d[1] == pytest.approx(np.sqrt(lam1), abs=1e-8)
-    dp, dm = nf.dist_to_cones(space_63, phi2)
+    dp, dm = dists(phi2)
     assert dp > 0.5 and dm > 0.5
 
 
@@ -246,8 +249,7 @@ def _bounds(space, u, sign):
 
 
 def _projected_label(space, u, mu0):
-    d_plus, d_minus = nf.dist_to_cones(space, u)
-    near = (d_plus <= mu0, d_minus <= mu0)
+    near = tuple(nf.project_cone(space, u, sign).distance <= mu0 for sign in (1, -1))
     return {(True, True): nf.RegionLabel.OVERLAP, (True, False): nf.RegionLabel.POSITIVE,
             (False, True): nf.RegionLabel.NEGATIVE,
             (False, False): nf.RegionLabel.SIGN_CHANGING}[near]
@@ -422,7 +424,7 @@ def test_min_dist_to_cones_equals_the_projected_minimum(geometry, seed, count):
     fields = [_screen_field(space, seed + i, ("random", "mode", "mixed")[i % 3])
               for i in range(count)]
     assert cones.min_dist_to_cones(space, fields) == min(
-        min(nf.dist_to_cones(space, u)) for u in fields)
+        nf.project_cone(space, u, sign).distance for u in fields for sign in (1, -1))
 
 
 def test_rect_solve_projects_few_distances(tmp_path, monkeypatch):
@@ -453,3 +455,58 @@ def test_rect_solve_projects_few_distances(tmp_path, monkeypatch):
     assert cli.main(["solve", "--config", str(config)]) == 0
     assert calls.count("frame") <= 5
     assert len(calls) <= 30
+
+
+# -- Moreau's polar test in project_cone --------------------------------------
+
+POLAR_SPACES = {
+    "1d": nf.build_space(nf.GridSpec.interval(0.0, 1.0, 63)),
+    "1d_even": nf.build_space(nf.GridSpec.interval(0.0, 1.0, 64)),
+    "2d": nf.build_space(nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (15, 7))),
+    "2d_even": nf.build_space(nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (16, 8))),
+}
+
+
+def _cold_projection(space, u, sign):
+    """The projection by the hull (1D) or the active set (2D), without the polar test."""
+    if space.grid.dimension == 1:
+        return cones._certify(space, u, sign, *cones._concave_majorant(sign * u), 1)
+    return _active_set(space, u, sign)
+
+
+@pytest.mark.parametrize("geometry", sorted(POLAR_SPACES))
+@pytest.mark.parametrize("seed", range(4))
+def test_polar_path_equals_the_norm_and_the_cold_projection(geometry, seed):
+    # u = A^-1 f with f >= 0 lies in P with A u >= 0, so 0 is its projection
+    # onto -P and dist(u, -P) = |u|_A
+    space = POLAR_SPACES[geometry]
+    f = np.abs(np.random.default_rng(seed).normal(size=space.dim)) + 0.1
+    for sign in (1, -1):
+        u = sign * space.solve(f)
+        au = space.A @ u
+        assert np.all(sign * au >= 0.0)
+        cold = _cold_projection(space, u, -sign)
+        for pr in (nf.project_cone(space, u, -sign, au), nf.project_cone(space, u, -sign)):
+            assert pr.distance == space.h1_norm(u) == cold.distance
+            assert pr.projection.tobytes() == cold.projection.tobytes()
+            assert pr.residual.tobytes() == cold.residual.tobytes()
+            assert pr.kkt_residual == cold.kkt_residual == 0.0
+            assert pr.active.all() and cold.active.all()
+
+
+@pytest.mark.parametrize("geometry", sorted(POLAR_SPACES))
+def test_a_field_in_p_failing_the_polar_test_is_projected_cold(geometry, monkeypatch):
+    space = POLAR_SPACES[geometry]
+    _, phi2 = space.eigenpairs(2)[1]
+    u = np.maximum(phi2, 0.0)   # A u < 0 where u meets 0
+    au = space.A @ u
+    assert np.all(u >= 0.0) and au.min() < 0.0
+    calls = []
+    for name in ("_concave_majorant", "_active_set"):
+        real = getattr(cones, name)
+        monkeypatch.setattr(cones, name, lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
+    pr = nf.project_cone(space, u, -1, au)
+    assert calls == ["_concave_majorant" if space.grid.dimension == 1 else "_active_set"]
+    assert 0.0 < pr.distance < space.h1_norm(u)
+    assert pr.distance == nf.project_cone(space, u, -1).distance

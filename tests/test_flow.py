@@ -492,3 +492,61 @@ def test_flow_forms_one_product_with_a_per_trial(monkeypatch):
     assert len(traj.states) > 40 and len(trials) >= len(traj.states)
     assert len(traj.states) <= counting.products <= len(trials)
     assert not norms
+
+
+@pytest.mark.parametrize("geometry", ["1d", "2d"])
+def test_make_state_labels_a_state_in_a_cone_as_region_of(geometry):
+    space = (nf.build_space(nf.GridSpec.interval(0.0, 1.0, 63)) if geometry == "1d" else
+             nf.build_space(nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (15, 7))))
+    prob = nf.EnergyProblem(space, nf.power_potential(4), 1.0)
+    phi1, phi2 = (vec for _, vec in space.eigenpairs(2))
+    fields = [phi1, np.maximum(phi2, 0.0), space.solve(np.ones(space.dim))]
+    for u in fields:
+        for sign in (1, -1):
+            for scale in (0.3, 0.5, 1.0):
+                for mu0 in (0.1, 0.45, 0.9, 0.5 * (1.0 - 1e-9), 0.5 * (1.0 + 1e-9)):
+                    v = sign * scale * u / space.h1_norm(u)
+                    state = flow.make_state(prob, v, 0.0, 0.0, mu0, None)[0]
+                    assert state.label is nf.region_of(space, v, mu0)
+                    assert "d_plus" in vars(state) and "d_minus" in vars(state)
+                    assert state.d_plus == nf.project_cone(space, v, 1).distance
+                    assert state.d_minus == nf.project_cone(space, v, -1).distance
+    for mu0 in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            flow.make_state(prob, phi1, 0.0, 0.0, mu0, None)
+
+
+def _cold_distance(space, u, sign):
+    """dist(u, sign*P) by the hull (1D) or the active set (2D), without the polar test."""
+    if space.grid.dimension == 1:
+        return cones._certify(space, u, sign, *cones._concave_majorant(sign * u), 1).distance
+    return cones._active_set(space, u, sign).distance
+
+
+@pytest.mark.parametrize("grid, start", [
+    (nf.GridSpec.interval(0.0, 1.0, 127), 3.1),
+    (nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (39, 19)), 3.0),
+])
+def test_flows_in_a_cone_project_by_the_polar_test_alone(grid, start, monkeypatch):
+    # the benchmark's flow (power:4, mu0 0.45, 1000 steps) stays in P with
+    # A u >= 0, so no state runs the hull or the active set, and each row has
+    # the bytes that the cold projections and region_of give
+    space = nf.build_space(grid)
+    prob = nf.EnergyProblem(space, nf.power_potential(4), 1.0)
+    mu0 = 0.45
+    calls = []
+    for name in ("_concave_majorant", "_active_set"):
+        real = getattr(cones, name)
+        monkeypatch.setattr(cones, name, lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
+    traj = nf.integrate_flow(prob, start * space.eigenpairs(1)[0][1],
+                             nf.FlowConfig(mu0=mu0, max_steps=1000))
+    rows = traj.to_csv().splitlines()[1:]
+    assert not calls and len(rows) == len(traj.states) > 1
+    monkeypatch.undo()
+    for s, row in zip(traj.states, rows):
+        d_plus, d_minus = (0.0 if np.all(sign * s.u >= 0.0) else _cold_distance(space, s.u, sign)
+                           for sign in (1, -1))
+        label = nf.region_of(space, s.u, mu0)
+        assert row == (f"{s.t!r},{s.j!r},{s.m!r},{d_plus!r},{d_minus!r},"
+                       f"{label.value},{s.dt_used!r}")

@@ -144,8 +144,8 @@ def test_minimax_report_invariants(quartic_63, minimax_63):
     assert rep.beta <= rep.r_final + rep.mesh_tolerance
     assert rep.r_final >= rep.beta - rep.mesh_tolerance
     space = quartic_63.space
-    d_plus, d_minus = nf.dist_to_cones(space, rep.candidate)
-    assert d_plus > 0.45 and d_minus > 0.45
+    for sign in (1, -1):
+        assert nf.project_cone(space, rep.candidate, sign).distance > 0.45
     assert np.any(rep.candidate > 0) and np.any(rep.candidate < 0)
     text = dumps(rep.to_dict())
     assert '"r_final"' in text and '"level_consistent": true' in text

@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -148,3 +151,11 @@ def test_readme_lists_the_numerical_constants():
     for module, name, value in rows:
         assert getattr(importlib.import_module(f"nodalflow.{module}"), name) \
             == ast.literal_eval(value), name
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # energy.slope_on_set imports it when first called, so import stays lean
+    code = "import sys, nodalflow; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
+    assert out.stdout.strip() == "False"
