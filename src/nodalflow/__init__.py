@@ -6,7 +6,7 @@ from .cones import (ConeNeighborhood, InvarianceReport, ProjectionResult,
 from .config import ConfigError, RunConfig, config_hash, load_config
 from .energy import (EnergyProblem, PSReport, SetSlopeResult, SlopeResult,
                      SubdifferentialBox, energies, energy, ps_monitor, slope,
-                     slope_on_set, stationarity_residual, subdifferential_box)
+                     slope_on_set, subdifferential_box)
 from .flow import (FlowConfig, FlowState, Termination, Trajectory, integrate_flow,
                    monitor_invariance, pseudo_gradient, resume_flow)
 from .linking import (GapViolation, LinkingFrame, MinimaxReport, NoLinkingWindow,

@@ -1,12 +1,13 @@
 """Command-line pipeline: solve | flow | verify | spectrum.
 
 Exit codes: 0 success, 2 config error, 3 no linking window, 4 not converged
-(including failed structural hypotheses and numerical failures), 5 invariance
-violation.  All randomness flows from the config seed.  Hypothesis sampling
-takes the seed SeedSequence(seed).generate_state(1)[0]; the generators
-spawned from the config seed serve, in a fixed order, 1 stage mu0's fit of
-the invariance constants (also for a given mu0 in solve and verify) and the
-check, 2 frame scans, 3 minimax, and spawned generator 0 is unused.
+(including failed structural hypotheses, numerical failures and an unconverged
+set-slope run in verify), 5 invariance violation.  All randomness flows from
+the config seed.  Hypothesis sampling takes the seed
+SeedSequence(seed).generate_state(1)[0]; the generators spawned from the
+config seed serve, in a fixed order, 1 stage mu0's fit of the invariance
+constants (also for a given mu0 in solve and verify) and the check, 2 frame
+scans, 3 minimax, and spawned generator 0 is unused.
 Artifacts carry the hex digest of the canonicalized config text; --out
 chooses the destination directory and does not enter the hash.
 """
@@ -142,11 +143,10 @@ def parse_start(space, name: str) -> np.ndarray:
         c = float(coef) if coef not in ("", "+", "-") else float(coef + "1")
         return c * space.eigenpairs(k)[k - 1][1]
     if os.path.exists(name):
-        with open(name) as fh:
-            text = fh.read()
         try:
-            return field_from_csv(space, text)
-        except (ValueError, StopIteration) as exc:
+            with open(name) as fh:
+                return field_from_csv(space, fh.read())
+        except (OSError, ValueError, StopIteration) as exc:
             raise ConfigError(f"bad start field {name!r}: {exc or 'empty file'}") from exc
     raise ConfigError(f"unrecognized start {name!r}; use zero, c*phi1, c*phi2, or a CSV path")
 
@@ -336,9 +336,12 @@ def cmd_verify(cfg: RunConfig, run: _Run, start: str | None) -> int:
             m_end = slope(prob, u_end).value
             tol = flow_cfg.tol_m
             consistent = (msd.value > tol) or (m_end <= 10.0 * tol)
+            # a stopped L-BFGS-B run over-estimates m_D and can pass the
+            # consistency test, so an unconverged entry fails verify
             cross.append({"sign": sign, "set_slope": msd.value, "slope": m_end,
-                          "tol": tol, "consistent": consistent})
-            ok = ok and consistent
+                          "tol": tol, "consistent": consistent,
+                          "set_slope_converged": msd.converged, "set_slope_gap": msd.gap})
+            ok = ok and consistent and msd.converged
             invariance_fail = invariance_fail or not consistent
         sections["slope_cross_validation"] = cross
 
@@ -412,7 +415,7 @@ def main(argv=None) -> int:
         if args.seed is not None and isinstance(raw, dict):   # load_config rejects the rest
             raw["seed"] = args.seed
         cfg = load_config(raw)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

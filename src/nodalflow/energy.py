@@ -5,8 +5,9 @@ m(u) (minimal dual norm over the box), and the set-relative slope m_D(u).
 m(u) is a box-constrained quadratic program solved by projected gradient with
 fixed step 1/L.  m_D(u) is evaluated through the exact support-function
 splitting of (u - D) intersected with the unit ball, which turns the inf-sup
-into a bounded convex program; stationarity on D is cross-checked by the
-normal-cone criterion (0 in the box plus the cone of active outward normals).
+into a bounded convex program.  The acceptance gate checks m_D against a dense
+normal-cone oracle in tests/oracles.py (0 in the box plus the cone of active
+outward normals).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import ConeNeighborhood, project_cone
+from .cones import ConeNeighborhood
 from .mesh import DiscreteSpace, MeshError
 from .potential import PiecewisePotential
 
@@ -24,9 +25,6 @@ SLOPE_TOL = 1e-10          # slope QP stop: norm of the unit-step projected grad
 SLOPE_MAX_ITER = 100000    # slope QP iterations before SlopeError
 SET_SLOPE_TOL = 1e-7       # slope_on_set: 100x its L-BFGS-B gtol, and a term of its gap
 SET_SLOPE_MAX_ITER = 400   # slope_on_set: L-BFGS-B iterations per smoothing level
-ACTIVITY_TOL = 1e-8        # a cone constraint within this of its mu is active
-STATIONARITY_ROUNDS = 300  # alternating-minimization rounds of stationarity_residual
-STATIONARITY_TOL = 1e-12   # stationarity_residual: its selection QP's stop
 PS_WINDOW = 10             # ps_monitor reads the last PS_WINDOW history entries,
 PS_PRODUCT_TOL = 1e-5      # and bounds the weighted slope (1+||u||) m,
 PS_ENERGY_TOL = 1e-6       # the relative energy spread,
@@ -75,11 +73,6 @@ class SubdifferentialBox:
 
     def gradient_vector(self, w: np.ndarray) -> np.ndarray:
         return self.base - self.lam * self.weights * w
-
-    def support_max(self, d: np.ndarray) -> float:
-        """max over the box of <x*, d>."""
-        return float(self.base @ d - self.lam * np.sum(
-            self.weights * np.minimum(self.lo * d, self.hi * d)))
 
 
 # energy, subdifferential_box and slope take A u as ``au`` when the caller has
@@ -134,46 +127,6 @@ class SlopeResult:
     certificate: np.ndarray   # g* = Au - lam*M*w*
     riesz: np.ndarray         # v* = A^-1 g*
     iterations: int
-    converged: bool
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "iterations": self.iterations,
-                "converged": self.converged,
-                "certificate_dual_norm": self.value,
-                "riesz_sup_norm": float(np.max(np.abs(self.riesz)))}
-
-
-def _box_dual_qp(prob: EnergyProblem, box: SubdifferentialBox, shift: np.ndarray,
-                 w0: np.ndarray | None, tol: float) -> tuple[np.ndarray, int]:
-    """Projected gradient for min over box selections w of the dual norm of
-    (base + shift) - lam*M*w, with fixed step 1/prob.step_bound and at most
-    SLOPE_MAX_ITER iterations; returns (w*, iterations)."""
-    space = prob.space
-    lo, hi = box.lo, box.hi
-    width = hi - lo
-    free = width > 1e-14 * (1.0 + np.abs(lo))
-    w = np.clip(w0, lo, hi) if w0 is not None else 0.5 * (lo + hi)
-    w[~free] = lo[~free]
-    iterations = 0
-    if free.any():
-        step = 1.0 / prob.step_bound
-        for iterations in range(1, SLOPE_MAX_ITER + 1):
-            g = box.gradient_vector(w) + shift
-            v = space.solve(g)
-            grad = -2.0 * box.lam * box.weights * v
-            trial = np.clip(w - grad, lo, hi)
-            trial[~free] = w[~free]
-            pg = w - trial
-            if float(np.linalg.norm(pg)) <= tol:
-                break
-            w_new = np.clip(w - step * grad, lo, hi)
-            w_new[~free] = w[~free]
-            w = w_new
-        else:
-            raise SlopeError(
-                f"projected gradient did not reach {tol:.1e} in {SLOPE_MAX_ITER} iterations "
-                f"(residual {float(np.linalg.norm(pg)):.3e})")
-    return w, iterations
 
 
 def slope(prob: EnergyProblem, u: np.ndarray, w0: np.ndarray | None = None,
@@ -181,16 +134,37 @@ def slope(prob: EnergyProblem, u: np.ndarray, w0: np.ndarray | None = None,
     """m(u) = min over box selections w of the dual norm of Au - lam*M*w.
 
     Degenerate (pointwise) box coordinates are pinned; the free block runs
-    projected gradient with fixed step 1/L until the unit-step projected
-    gradient has norm <= SLOPE_TOL.
+    projected gradient with fixed step 1/prob.step_bound, from w0 clipped to
+    the box or from its midpoint, until the unit-step projected gradient has
+    norm <= SLOPE_TOL, and raises SlopeError after SLOPE_MAX_ITER iterations.
     """
     space = prob.space
     box = subdifferential_box(prob, u, au)
-    w, iterations = _box_dual_qp(prob, box, np.zeros(space.dim), w0, SLOPE_TOL)
+    lo, hi = box.lo, box.hi
+    free = hi - lo > 1e-14 * (1.0 + np.abs(lo))
+    w = np.clip(w0, lo, hi) if w0 is not None else 0.5 * (lo + hi)
+    w[~free] = lo[~free]
+    iterations = 0
+    if free.any():
+        step = 1.0 / prob.step_bound
+        for iterations in range(1, SLOPE_MAX_ITER + 1):
+            grad = -2.0 * box.lam * box.weights * space.solve(box.gradient_vector(w))
+            trial = np.clip(w - grad, lo, hi)
+            trial[~free] = w[~free]
+            pg = w - trial
+            if float(np.linalg.norm(pg)) <= SLOPE_TOL:
+                break
+            w_new = np.clip(w - step * grad, lo, hi)
+            w_new[~free] = w[~free]
+            w = w_new
+        else:
+            raise SlopeError(
+                f"projected gradient did not reach {SLOPE_TOL:.1e} in {SLOPE_MAX_ITER} "
+                f"iterations (residual {float(np.linalg.norm(pg)):.3e})")
     g = box.gradient_vector(w)
     v = space.solve(g)
     value = float(np.sqrt(max(g @ v, 0.0)))
-    return SlopeResult(value, w, g, v, iterations, True)
+    return SlopeResult(value, w, g, v, iterations)
 
 
 # -- set-relative slope --------------------------------------------------------
@@ -207,10 +181,6 @@ class SetSlopeResult:
     selection: np.ndarray
     converged: bool
     iterations: int
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "gap": self.gap, "converged": self.converged,
-                "iterations": self.iterations}
 
 
 def _set_signs(region: SetSpec) -> tuple[ConeNeighborhood, ...]:
@@ -290,50 +260,6 @@ def slope_on_set(prob: EnergyProblem, u: np.ndarray, region: SetSpec) -> SetSlop
         ok = ok and (res.status in (0, 2))
     gap = (n_mult + 1) * eps_final + SET_SLOPE_TOL
     return SetSlopeResult(max(val, 0.0), gap, x[:n], ok, total_iters)
-
-
-def stationarity_residual(prob: EnergyProblem, u: np.ndarray, region: SetSpec) -> float:
-    """Normal-cone stationarity certificate for u relative to D.
-
-    Returns min over box selections w and multipliers t >= 0 of the dual norm of
-    Au - lam*M*w + sum_k t_k A n_k, where n_k are unit outward normals of the
-    active cone-distance constraints at u.  Zero iff 0 in dJ(u) + N_D(u).
-    Solved by exact alternating minimization: each multiplier is a clipped 1D
-    quadratic, the selection block is the slope projected-gradient QP.
-    """
-    space = prob.space
-    u = space.check_field(u)
-    box = subdifferential_box(prob, u)
-    normals = []
-    for part in _set_signs(region):
-        pr = project_cone(space, u, part.sign)
-        if pr.distance >= part.mu - ACTIVITY_TOL and pr.distance > 1e-14:
-            normals.append(pr.residual / pr.distance)
-    k = len(normals)
-    a_normals = [space.A @ nrm for nrm in normals]
-    nn = [float(nrm @ an) for nrm, an in zip(normals, a_normals)]  # ||n||_A^2
-
-    t = np.zeros(k)
-    w = 0.5 * (box.lo + box.hi)
-    value = np.inf
-    for _ in range(STATIONARITY_ROUNDS):
-        shift = sum(t[i] * a_normals[i] for i in range(k)) if k else np.zeros(space.dim)
-        w, _ = _box_dual_qp(prob, box, shift, w, STATIONARITY_TOL)
-        r = box.gradient_vector(w) + shift
-        for i in range(k):
-            # exact 1D minimization in t_i holding everything else fixed
-            r_wo = r - t[i] * a_normals[i]
-            t_new = max(0.0, -float(normals[i] @ r_wo) / nn[i])
-            r = r_wo + t_new * a_normals[i]
-            t[i] = t_new
-        new_value = float(r @ space.solve(r))
-        if abs(value - new_value) <= 1e-15 * (1.0 + abs(new_value)):
-            value = new_value
-            break
-        value = new_value
-        if k == 0:
-            break
-    return float(np.sqrt(max(value, 0.0)))
 
 
 # -- Palais-Smale monitor -------------------------------------------------------

@@ -74,10 +74,10 @@ class FlowConfig:
 class FlowState:
     """One point of a flow.
 
-    ``norm`` is the H^1 norm of u, or None for a state loaded without a
-    space.  ``d_plus`` and ``d_minus`` are dist(u, P) and dist(u, -P): set
-    by ``make_state`` for a state in P or -P, otherwise projected in
-    ``space`` when first read and then kept.  ``norm`` is not part of ``summary``.
+    ``norm`` is the H^1 norm of u.  ``d_plus`` and ``d_minus`` are dist(u, P)
+    and dist(u, -P): set by ``make_state`` for a state in P or -P, otherwise
+    projected in ``space`` when first read and then kept.  ``norm`` is not
+    part of ``summary``.
     """
 
     t: float
@@ -86,8 +86,8 @@ class FlowState:
     m: float
     label: RegionLabel
     dt_used: float
-    norm: float | None
-    space: DiscreteSpace | None
+    norm: float
+    space: DiscreteSpace
 
     @cached_property
     def d_plus(self) -> float:
@@ -342,16 +342,16 @@ class Checkpoint:
     committed: bytes   # the file's bytes up to the end of that commit line
 
 
-def load_checkpoint(path: str, space: DiscreteSpace | None = None) -> Checkpoint:
+def load_checkpoint(path: str, space: DiscreteSpace) -> Checkpoint:
     """The last commit in the checkpoint at ``path``.
 
     Rows after the last commit line, and a last line with no newline, are the
     tail of an interrupted write and are ignored.  Raises ValueError when the
     file holds no commit or a complete line that is neither a state row nor a
     commit of the rows before it; a row whose ``u`` is not base64 of whole
-    float64s, or not as long as the first row's, is no state row.  With
-    ``space``, each state carries its H^1 norm, and a committed field that
-    does not fit the space raises MeshError.
+    float64s, or not as long as the first row's, is no state row.  Each state
+    carries its H^1 norm in ``space``, and a committed field that does not
+    fit the space raises MeshError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -382,9 +382,8 @@ def load_checkpoint(path: str, space: DiscreteSpace | None = None) -> Checkpoint
     if dt_next is None:
         raise ValueError(f"{path}: no committed state")
     del states[committed:]
-    if space is not None:
-        for s in states:
-            s.norm = space.h1_norm(s.u)
+    for s in states:
+        s.norm = space.h1_norm(s.u)
     return Checkpoint(states, dt_next, data[:end])
 
 

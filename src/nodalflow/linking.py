@@ -88,10 +88,6 @@ class LinkingFrame:
         """The energy-normalized eigenfields phi1^ and phi2^."""
         return self.phi1 / np.sqrt(self.lam1), self.phi2 / np.sqrt(self.lam2)
 
-    def q_point(self, rho: float, theta: float) -> np.ndarray:
-        """Surface point of Q at polar parameters (rho, theta) in [0,1]x[0,pi]."""
-        return self.q_points([rho], [theta])[0, 0]
-
     def q_points(self, rho, theta) -> np.ndarray:
         """Points of Q on the grid rho x theta, as a (len(rho), len(theta), dim) block."""
         hat1, hat2 = self._hats
@@ -376,8 +372,6 @@ def _classify_descent(prob: EnergyProblem, u0: np.ndarray, cfg: FlowConfig,
                 prod = (1.0 + s.norm) * s.m
                 if prod < dip_val:
                     dip_val, dip = prod, s
-        if traj.termination is Termination.ENERGY_FLOOR:
-            kind = kind or "blown"
         if kind is not None:
             return kind, None, dip
         final = traj.final

@@ -10,7 +10,8 @@ import itertools
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.linalg import solve_triangular
+from scipy.optimize import brentq, lsq_linear
 
 import nodalflow as nf
 
@@ -237,6 +238,34 @@ def box_grid_slope(space, box, points: int = 21, rounds: int = 12) -> float:
         center = best_w.copy()
         width = width * (2.5 / (points - 1))
     return float(np.sqrt(max(best_val, 0.0)))
+
+
+# -- normal-cone stationarity oracle ----------------------------------------------
+
+
+def stationarity_residual(space, box, u: np.ndarray, region) -> float:
+    """min over box selections w and t >= 0 of the dual norm of
+    Au - lam*M*w + t*A n, with n the unit outward normal of D = region at u
+    when its constraint is active (dist(u, sign*P) within 1e-8 of mu), else
+    t = 0.  Zero iff 0 lies in the box plus the normal cone N_D(u).
+
+    With A = L L', the dual norm of r is ||L^-1 r||, so this is a bounded
+    linear least-squares problem; pinned selections (lo = hi) move to its
+    right-hand side and the free ones and t go to BVLS.
+    """
+    A = space.A.toarray()
+    L = np.linalg.cholesky(A)
+    free = box.lo < box.hi
+    cols = solve_triangular(L, np.diag(-box.lam * box.weights), lower=True)
+    rhs = -solve_triangular(L, box.base, lower=True) - cols[:, ~free] @ box.lo[~free]
+    cols, lb, ub = cols[:, free], box.lo[free], box.hi[free]
+    v, dist = enum_project_cone(A, region.sign * u)
+    if dist >= region.mu - 1e-8:
+        normal = (u - region.sign * v) / dist
+        cols = np.column_stack([cols, L.T @ normal])   # L^-1 A n
+        lb, ub = np.append(lb, 0.0), np.append(ub, np.inf)
+    x = lsq_linear(cols, rhs, bounds=(lb, ub), method="bvls").x
+    return float(np.linalg.norm(cols @ x - rhs))
 
 
 # -- saddle oracle for the set-relative slope -------------------------------------

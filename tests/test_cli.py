@@ -135,6 +135,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", str(bad), "--seed", "3"]) == 2
     missing = tmp_path / "missing.json"
     assert main(["solve", "--config", str(missing)]) == 2
+    capsys.readouterr()
+    # a byte that is no UTF-8
+    bad.write_bytes(b'{"seed": 1}\xff')
+    out = tmp_path / "never"
+    assert main(["solve", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 _QUARTIC = [0, 0, 0, 0, 0.25]
@@ -250,7 +258,7 @@ def test_2d_solve_projection_count(tmp_path, monkeypatch):
     # about 1,480 projections, about 1,350 of them in the mu0 fit and the
     # Schauder check
     calls = []
-    for name in ("cones", "flow", "energy"):
+    for name in ("cones", "flow"):
         module = importlib.import_module(f"nodalflow.{name}")
         def counting(*args, _real=module.project_cone, **kwargs):
             calls.append(1)
@@ -476,7 +484,7 @@ def test_spectrum_values(tmp_path):
                                     rel=1e-12)
 
 
-def test_flow_and_resume_bytes(tmp_path):
+def test_flow_and_resume_bytes(tmp_path, space_63):
     path, _ = small_config(
         tmp_path, mu0=0.3, flow={"checkpoint_every": 10, "t_max": 30.0})
     out_full = str(tmp_path / "full")
@@ -503,8 +511,8 @@ def test_flow_and_resume_bytes(tmp_path):
 
     # the resume reads its source and writes its own checkpoint into --out
     assert open(source, "rb").read() == before
-    full = load_checkpoint(os.path.join(out_full, "checkpoint.json"))
-    res = load_checkpoint(os.path.join(out_res, "checkpoint.json"))
+    full = load_checkpoint(os.path.join(out_full, "checkpoint.json"), space_63)
+    res = load_checkpoint(os.path.join(out_res, "checkpoint.json"), space_63)
     assert res.dt_next == full.dt_next and len(res.states) == len(full.states)
     for a, b in zip(res.states, full.states):
         assert a.summary() == b.summary() and a.u.tobytes() == b.u.tobytes()
@@ -575,6 +583,22 @@ def test_non_finite_start_csv_exits_2_without_output(tmp_path, capsys, space_63,
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["flow", "verify"])
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_unreadable_start_exits_2_without_output(tmp_path, capsys, space_63, command, case):
+    path, _ = small_config(tmp_path, mu0=0.3)
+    start = tmp_path / "start"
+    if case == "directory":
+        start.mkdir()
+    else:
+        start.write_bytes(nf.field_to_csv(space_63, np.zeros(63)).encode() + b"\xff\n")
+    out = tmp_path / "never"
+    assert main([command, "--config", path, "--start", str(start), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_verify_bad_start_csv_exits_2_before_any_stage(tmp_path, capsys):
     path, _ = small_config(tmp_path, mu0=0.3)
     header_only = tmp_path / "header.csv"
@@ -587,19 +611,20 @@ def test_verify_bad_start_csv_exits_2_before_any_stage(tmp_path, capsys):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
-def test_verify_passes_and_detects_tamper(tmp_path):
+def test_verify_passes_and_detects_tamper(tmp_path, space_63):
     path, _ = small_config(
         tmp_path, mu0=0.3, flow={"checkpoint_every": 10, "t_max": 30.0})
     out = str(tmp_path / "verify")
     assert main(["verify", "--config", path, "--out", out]) == 0
     rep = json.load(open(os.path.join(out, "verify_report.json")))
     assert rep["passed"] is True
+    assert all(e["set_slope_converged"] is True for e in rep["slope_cross_validation"])
 
     # produce a checkpoint, then tamper with its tail
     out_f = str(tmp_path / "vflow")
     assert main(["flow", "--config", path, "--start", "2.5*phi2",
                  "--out", out_f]) == 0
-    checkpoint = load_checkpoint(os.path.join(out_f, "checkpoint.json"))
+    checkpoint = load_checkpoint(os.path.join(out_f, "checkpoint.json"), space_63)
     states = checkpoint.states
     for s in states[-3:]:
         s.m = 50.0
@@ -611,6 +636,24 @@ def test_verify_passes_and_detects_tamper(tmp_path):
                  "--out", out_t]) == 5
     rep = json.load(open(os.path.join(out_t, "verify_report.json")))
     assert rep["ps_monitor"]["passed"] is False
+
+
+def test_verify_fails_an_unconverged_set_slope(tmp_path, monkeypatch):
+    # a stopped L-BFGS-B run over-estimates m_D, so its entry cannot pass
+    monkeypatch.setattr("nodalflow.cli.slope_on_set", lambda *args: dataclasses.replace(
+        nf.slope_on_set(*args), converged=False))
+    path, _ = small_config(tmp_path, mu0=0.3, flow={"t_max": 30.0})
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 4
+    rep = json.loads((out / "verify_report.json").read_text())
+    assert rep["passed"] is False and rep["ps_monitor"]["passed"] is True
+    for entry in rep["slope_cross_validation"]:
+        assert entry["consistent"] is True and entry["set_slope_converged"] is False
+        assert entry["set_slope_gap"] > 0
+    # a failed invariance check keeps its exit 5
+    monkeypatch.setattr("nodalflow.cli.ps_monitor", lambda *args: dataclasses.replace(
+        nf.ps_monitor(*args), cauchy_ok=False))
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "both")]) == 5
 
 
 # -- config schema -------------------------------------------------------------

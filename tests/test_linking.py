@@ -22,7 +22,7 @@ def test_frame_scans(quartic_63, frame_63):
     assert 0 < frame.delta_t < frame.radius
     # energy negative on the whole radius-R arc
     for theta in np.linspace(0, np.pi, 40):
-        assert nf.energy(quartic_63, frame.q_point(1.0, theta)) < 0
+        assert nf.energy(quartic_63, frame.q_points([1.0], [theta])[0, 0]) < 0
     # energy positive and labels sign-changing on sampled T points
     for v in nf.sample_t_sphere(quartic_63.space, frame, 16, np.random.default_rng(1)):
         assert nf.energy(quartic_63, v) > 0
@@ -74,7 +74,7 @@ def test_surface_mesh_boundary_contracts(quartic_63, frame_63):
                                   nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (39, 19))])
 def test_surface_block_equals_q_point_bit_for_bit(grid):
     # the surface and the alpha boundary are built as blocks; each point keeps
-    # the bits of q_point and of the point-by-point formula it replaced
+    # the bits of a one-point q_points call and of the point-by-point formula
     space = nf.build_space(grid)
     (lam1, phi1), (lam2, phi2) = space.eigenpairs(2)
     frame = nf.LinkingFrame(phi1, phi2, lam1, lam2, np.sqrt(61.0), 1.0, 0.3)
@@ -82,7 +82,8 @@ def test_surface_block_equals_q_point_bit_for_bit(grid):
 
     def same_bits(point, rho, theta):
         reference = rho * frame.radius * (np.cos(theta) * hat1 + np.sin(theta) * hat2)
-        return point.tobytes() == frame.q_point(rho, theta).tobytes() == reference.tobytes()
+        single = frame.q_points([rho], [theta])[0, 0]
+        return point.tobytes() == single.tobytes() == reference.tobytes()
 
     prob = nf.EnergyProblem(space, nf.power_potential(4), 1.0)
     mesh = SurfaceMesh.identity_embedding(prob, frame, 7, 25)

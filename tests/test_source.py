@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -70,6 +71,41 @@ def test_private_import_detector():
 def test_no_private_imports_across_modules(module):
     # a name one module shares with another is public within the package
     assert private_imports((SRC / module).read_text()) == []
+
+
+def unread_names(sources: list[str], names: list[str]) -> list[str]:
+    """The ``names`` that no source in ``sources`` reads, as a name or an attribute."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(set(names) - read)
+
+
+def test_unread_name_detector():
+    source = ("def f(x):\n    return g(x).h\nclass C:\n    pass\n"
+              "k = 1\nobj.attr = f\n")
+    assert unread_names([source], ["C", "attr", "f", "g", "h", "k", "x"]) == \
+        ["C", "attr", "k"]
+
+
+# Exports that no module of the package reads, with the reason each stays.
+UNREAD_EXPORTS = {
+    "eval_j": "acceptance 1's Clarke API",
+    "gen_dir_derivative": "acceptance 1's Clarke API",
+    "sign_changes": "result checks",
+    "deform_surface": "the benchmark tracer wraps it",
+}
+
+
+def test_every_export_is_read_by_the_package():
+    exports = [name for name in nodalflow.__all__
+               if not isinstance(getattr(nodalflow, name), types.ModuleType)]
+    sources = [(SRC / module).read_text() for module in MODULES]
+    assert unread_names(sources, exports) == sorted(UNREAD_EXPORTS)
 
 
 # Numeric keyword defaults that are data, not tolerances, with the reason each
