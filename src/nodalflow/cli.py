@@ -141,7 +141,11 @@ def parse_start(space, name: str) -> np.ndarray:
     if match:
         coef, k = match.group(1), int(match.group(2))
         c = float(coef) if coef not in ("", "+", "-") else float(coef + "1")
-        return c * space.eigenpairs(k)[k - 1][1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = c * space.eigenpairs(k)[k - 1][1]
+        if not np.isfinite(u).all():
+            raise ConfigError(f"bad start field {name!r}: values must be finite")
+        return u
     if os.path.exists(name):
         try:
             with open(name) as fh:

@@ -12,9 +12,11 @@ residual and is rejected when that residual is above tolerance.
 
 A distance mostly enters a comparison, and bounds on it decide most
 comparisons without a projection.  A region label asks whether a distance is
-at most mu0.  The invariance checker compares image distances with its running
-maxima and with d/3 + C d^(q-1), and accepts a sample when its distance d is
-above 1e-12; the frame scan takes the least distance over its directions.
+at most mu0.  The invariance checker compares image distances with the fit's
+running maximum of C and with d/3 + C d^(q-1), takes the worst image ratio as
+a maximum by branch and bound, and accepts a sample when its distance d is
+above 1e-12; the frame scan takes the least distance over its directions by
+branch and bound too.
 Each distance is read in three tiers (see _ConeDistance): free bounds from
 the field's negative part, dual bounds from one Riesz solve, and only then the
 projection.  A comparison that a tier's bounds, widened for rounding, decide
@@ -311,6 +313,24 @@ def min_dist_to_cones(space: DiscreteSpace, fields: list[np.ndarray]) -> float:
     return best
 
 
+def _worst_ratio(pairs: list[tuple[_ConeDistance, _ConeDistance]],
+                 mu0: float) -> tuple[float, float]:
+    """(max over the (image, sample) pairs of dist(image)/mu0, the sample's
+    distance) by branch and bound: in descending order of free upper bound,
+    an image is projected only while its upper bounds can still beat the best
+    ratio so far, and a tie goes to the first pair in the list.  (0.0, 0.0)
+    where every image lies in the cone."""
+    # best is (ratio, -index), so a later pair loses a tie, and a ratio of 0
+    # never beats the start
+    best, witness = (0.0, 0), None
+    for i, (img, d) in sorted(enumerate(pairs), key=lambda p: -p[1][0].upper):
+        if img.upper / mu0 < best[0]:
+            break
+        if (img.dual_upper / mu0, -i) > best and (img.exact / mu0, -i) > best:
+            best, witness = (img.exact / mu0, -i), d
+    return best[0], 0.0 if witness is None else witness.exact
+
+
 def region_of(space: DiscreteSpace, u: np.ndarray, mu0: float,
               dists: tuple[float, float] | None = None) -> RegionLabel:
     """Which of D+(mu0) and D-(mu0) hold u; the label that the projected
@@ -407,12 +427,13 @@ def _boundary_samples(prob, sign: int, distances: np.ndarray, per_distance: int,
     return out
 
 
-# Each checker comparison (raise C, raise the worst ratio, break the
+# Each checker comparison of an image with its sample (raise C, break the
 # inequality) holds only for a large enough image distance, and is monotone in
 # the sample's distance d (q > 2, C >= 0).  So the image's upper bounds and the
 # bounds on d that favour the comparison stand in for them: an image is
 # projected only when both tiers of its bounds let the comparison hold, and
-# its sample only when the outcome needs d.
+# its sample only when the outcome needs d.  The worst ratio reads the image
+# alone (_worst_ratio).
 
 
 def _may_hold(test, img: _ConeDistance, d: _ConeDistance) -> bool:
@@ -484,19 +505,17 @@ def check_schauder(prob, mu0: float, c: tuple[float, float], sample_count: int,
     q = prob.potential.q
     reports = []
     for sign, c_fit in zip((1, -1), c):
-        worst = witness = 0.0
         ineq_ok = True
         fresh = _boundary_samples(prob, sign, np.asarray([mu0]), sample_count, rng)
+        pairs = []
         for u, d in fresh:
             for img in _selection_images(prob, u, rng):
                 d_img = _ConeDistance(prob.space, img, sign)
-                # the ratio reads the image alone, so the sample is not bounded for it
-                if (d_img.upper / mu0 > worst and d_img.dual_upper / mu0 > worst
-                        and d_img.exact / mu0 > worst):
-                    worst, witness = d_img.exact / mu0, d.exact
+                pairs.append((d_img, d))
                 if ineq_ok and _may_hold(
                         lambda a, b: a > b / 3.0 + c_fit * b ** (q - 1.0) + 1e-9, d_img, d):
                     ineq_ok = False
+        worst, witness = _worst_ratio(pairs, mu0)
         reports.append(InvarianceReport(
             sign=sign, mu0=mu0, worst_ratio=worst, fitted_c=c_fit, q=q,
             n_samples=len(fresh), passed=worst <= 0.5 + RATIO_TOL,

@@ -158,22 +158,24 @@ def build_frame(prob: EnergyProblem, mu0: float, rng: np.random.Generator) -> Li
     # cone distances are positively homogeneous: evaluate once at unit scale
     unit_dist = min_dist_to_cones(space, dirs)
     dir_block = np.array(dirs)
+    # the smallest admissible radius with a comfortable clearance margin, else
+    # the largest admissible one
     delta_profile = {}
-    feasible = []
+    delta_t = None
     for delta in SCAN_DELTAS:
         if delta >= radius:
             continue
         min_j = float(np.min(energies(prob, delta * dir_block)))
         delta_profile[delta] = min_j
         if min_j > 0.0 and delta * unit_dist > mu0 * CONE_MARGIN:
-            feasible.append(delta)
-    if not feasible:
+            delta_t = delta
+            if delta * unit_dist >= 1.25 * mu0:
+                break
+    if delta_t is None:
         raise NoLinkingWindow(
             "no T radius with positive energy clear of the cone neighborhoods",
             {"delta_profile": delta_profile, "radius": radius,
              "unit_cone_distance": unit_dist})
-    # smallest admissible radius with a comfortable clearance margin
-    delta_t = next((d for d in feasible if d * unit_dist >= 1.25 * mu0), feasible[-1])
     return LinkingFrame(phi1, phi2, lam1, lam2, radius, delta_t, mu0)
 
 

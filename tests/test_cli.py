@@ -256,7 +256,8 @@ def test_2d_solve_projection_count(tmp_path, monkeypatch):
     # distance bounds.  Projecting every sample, every Riesz image (two per
     # sample at smooth points) and every scan direction made this solve take
     # about 1,480 projections, about 1,350 of them in the mu0 fit and the
-    # Schauder check
+    # Schauder check.  The check projects one image and one witness per sign;
+    # a running maximum of the ratio in draw order projected 14 here
     calls = []
     for name in ("cones", "flow"):
         module = importlib.import_module(f"nodalflow.{name}")
@@ -279,7 +280,7 @@ def test_2d_solve_projection_count(tmp_path, monkeypatch):
     path, _ = small_config(tmp_path, grid={"dimension": 2, "bounds": [[0.0, 2.0], [0.0, 1.0]],
                                            "n": [15, 7]}, seed=1)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 0
-    assert len(checker) == 2 and sum(checker) <= 50
+    assert len(checker) == 2 and sum(checker) <= 50 and checker[1] <= 4
     assert len(calls) <= 200
 
 
@@ -578,6 +579,20 @@ def test_non_finite_start_csv_exits_2_without_output(tmp_path, capsys, space_63,
     start.write_text(nf.field_to_csv(space_63, u))
     out = tmp_path / "never"
     assert main([command, "--config", path, "--start", str(start), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["flow", "verify"])
+@pytest.mark.parametrize("start", ["1e400*phi1", "1.7e308*phi2"])
+def test_start_coefficient_that_overflows_exits_2_without_output(tmp_path, capsys,
+                                                                command, start):
+    # an infinite coefficient, and a finite one whose field overflows
+    path, _ = small_config(tmp_path, mu0=0.3,
+                           grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 15})
+    out = tmp_path / "never"
+    assert main([command, "--config", path, "--start", start, "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1

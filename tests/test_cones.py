@@ -409,6 +409,50 @@ def test_checker_decides_each_comparison_as_a_projection_would(seed, sign, mu0):
         assert run() == screened
 
 
+@pytest.mark.parametrize("n", [(39, 19), (16, 8)])
+def test_checker_projects_one_image_and_one_witness_per_sign(n, monkeypatch):
+    # the worst ratio is taken by branch and bound over the images' upper
+    # bounds; a running maximum in draw order projected 6 to 20 of them
+    space = nf.build_space(nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], n))
+    prob = nf.EnergyProblem(space, parse_potential("power:4"), 1.0)
+    signs = []
+    project = cones.project_cone
+    monkeypatch.setattr(cones, "project_cone", lambda space, u, sign, *args:
+                        signs.append(sign) or project(space, u, sign, *args))
+    for seed in range(5):
+        signs.clear()
+        nf.check_schauder(prob, 0.45, (0.0, 0.0), cones.SCHAUDER_SAMPLES,
+                          np.random.default_rng(seed))
+        assert signs.count(1) <= 2 and signs.count(-1) <= 2
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_tied_worst_images_keep_the_earlier_witness(sign, monkeypatch):
+    # two images with one projected distance; the later one has the larger
+    # upper bounds, so the search meets it first, and the witness must still
+    # be the sample of the image drawn first
+    space = CHECKER_SPACES["1d"]
+    prob = nf.EnergyProblem(space, parse_potential("power:3"), 1.0)
+    samples = [(u, cones._ConeDistance(space, u, sign))
+               for u in (_screen_field(space, 1, "mixed"), _screen_field(space, 2, "mixed"))]
+    first = _screen_field(space, 3, "mixed")
+    images = {samples[0][0].tobytes(): [first], samples[1][0].tobytes(): [2.0 * first]}
+    project = cones.project_cone
+
+    def tied(space, u, sign, *args):
+        return project(space, first if np.array_equal(u, 2.0 * first) else u, sign, *args)
+
+    monkeypatch.setattr(cones, "_boundary_samples", lambda *args: samples)
+    monkeypatch.setattr(cones, "_selection_images", lambda prob, u, rng: images[u.tobytes()])
+    monkeypatch.setattr(cones, "project_cone", tied)
+    mu0 = 0.3
+    rep = nf.check_schauder(prob, mu0, (1e9, 1e9), 1, np.random.default_rng(0))[sign == -1]
+    later, earlier = (cones._ConeDistance(space, img, sign) for img in (2.0 * first, first))
+    assert later.upper > earlier.upper and later.dual_upper > earlier.dual_upper
+    assert rep.worst_ratio == project(space, first, sign).distance / mu0 > 0.0
+    assert rep.witness_distance == samples[0][1].exact != samples[1][1].exact
+
+
 def test_some_checker_problem_fits_a_positive_constant():
     # the screen is also checked where the fitted C and mu0 are not trivial
     prob = nf.EnergyProblem(CHECKER_SPACES["1d"], parse_potential("power:3"), 100.0)

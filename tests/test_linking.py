@@ -29,6 +29,43 @@ def test_frame_scans(quartic_63, frame_63):
         assert nf.region_of(quartic_63.space, v, mu0) is nf.RegionLabel.SIGN_CHANGING
 
 
+def _full_scan(prob, mu0, rng):
+    """(R, delta_T) from scoring every scanned radius and every delta below R."""
+    space = prob.space
+    pairs = space.eigenpairs(2)
+    hat = [vec / np.sqrt(lam) for lam, vec in pairs]
+    arc = np.array([np.cos(t) * hat[0] + np.sin(t) * hat[1]
+                    for t in np.linspace(0.0, np.pi, linking.SCAN_N_THETA)])
+    radius = next(r * linking.RADIUS_MARGIN for r in linking.SCAN_RADII
+                  if max(nf.energies(prob, r * arc)) < 0.0
+                  and max(nf.energies(prob, r * linking.RADIUS_MARGIN * arc)) < 0.0)
+    dirs = linking._v_directions(space, pairs[0][1], linking.N_DIRECTIONS, rng)
+    unit = nf.cones.min_dist_to_cones(space, dirs)
+    feasible = [d for d in linking.SCAN_DELTAS
+                if d < radius and min(nf.energies(prob, d * np.array(dirs))) > 0.0
+                and d * unit > mu0 * linking.CONE_MARGIN]
+    return radius, next((d for d in feasible if d * unit >= 1.25 * mu0), feasible[-1])
+
+
+@pytest.mark.parametrize("grid", [nf.GridSpec.interval(0.0, 1.0, 63),
+                                  nf.GridSpec.rectangle([(0.0, 2.0), (0.0, 1.0)], (39, 19))])
+@pytest.mark.parametrize("mu0", [0.2, 0.45])
+def test_delta_scan_stops_at_the_delta_it_picks(grid, mu0, monkeypatch):
+    prob = nf.EnergyProblem(nf.build_space(grid), nf.power_potential(4), 1.0)
+    scored = []
+
+    def energies(p, block):
+        if len(block) == linking.N_DIRECTIONS:   # a delta block, not an arc
+            scored.append(block)
+        return nf.energies(p, block)
+
+    monkeypatch.setattr(linking, "energies", energies)
+    frame = nf.build_frame(prob, mu0, np.random.default_rng(3))
+    assert (frame.radius, frame.delta_t) == _full_scan(prob, mu0, np.random.default_rng(3))
+    # the deltas are scored in ascending order, and the last one scored is delta_T
+    assert linking.SCAN_DELTAS[len(scored) - 1] == frame.delta_t
+
+
 def test_no_linking_window_for_tiny_lambda(space_63):
     prob = nf.EnergyProblem(space_63, nf.power_potential(4), 1e-3)
     with pytest.raises(NoLinkingWindow) as err:
