@@ -1,4 +1,4 @@
-"""JSON helpers: numpy-aware, deterministic serialization."""
+"""JSON and CSV helpers: numpy-aware, deterministic serialization."""
 
 from __future__ import annotations
 
@@ -23,3 +23,14 @@ def jsonable(obj):
 def dumps(payload, **kw) -> str:
     kw.setdefault("sort_keys", True)
     return json.dumps(payload, default=jsonable, **kw)
+
+
+def csv_text(header_lines, columns, rows) -> str:
+    """A ``# `` line per header line, the column line, then one line per row.
+
+    A string cell is written as it is, any other cell by ``float.__repr__``
+    (np.float64 is a float), so every number reads back bit for bit."""
+    lines = [f"# {line}" for line in header_lines]
+    lines += [",".join([c if isinstance(c, str) else float.__repr__(c) for c in row])
+              for row in (columns, *rows)]
+    return "\n".join(lines) + "\n"

@@ -25,11 +25,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._serial import dumps
-from .cones import (SCHAUDER_SAMPLES, ConeNeighborhood, ProjectionError, check_schauder,
-                    fit_mu0)
+from ._serial import csv_text, dumps
+from .cones import (MU_STAR_CAP, SCHAUDER_SAMPLES, ConeNeighborhood, ProjectionError,
+                    check_schauder, fit_mu0)
 from .config import ConfigError, RunConfig, load_config
-from .energy import EnergyProblem, SlopeError, ps_monitor, slope, slope_on_set
+from .energy import EnergyProblem, SlopeError, energy, ps_monitor, slope, slope_on_set
 from .flow import (Checkpoint, Termination, integrate_flow, load_checkpoint,
                    monitor_invariance, resume_flow)
 from .linking import (GapViolation, NoLinkingWindow, NotConverged, build_frame,
@@ -95,7 +95,7 @@ class _Run:
     def open(self):
         with self.writing():
             os.makedirs(self.outdir, exist_ok=True)
-        self._write(self._log_path, "w", f"# config_hash={self.cfg.hash}\n")
+        self.write_text("run.log", "")
         self.opened = True
 
     def log(self, message: str):
@@ -112,7 +112,8 @@ class _Run:
                     f"{name}={self.seconds.get(name, 0.0):.6f}s" for name in stages))
 
     def write_text(self, name: str, text: str):
-        self._write(os.path.join(self.outdir, name), "w", text)
+        """Write ``text`` under a first line ``# config_hash=<hash>``."""
+        self._write(os.path.join(self.outdir, name), "w", f"# config_hash={self.cfg.hash}\n{text}")
 
     def write_json(self, name: str, payload: dict):
         payload = dict(payload)
@@ -134,25 +135,32 @@ class _Run:
 _START_RE = re.compile(r"^([+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?)\s*\*?\s*phi([12])$")
 
 
-def parse_start(space, name: str) -> np.ndarray:
-    if name == "zero":
-        return space.zero_field()
+def parse_start(prob: EnergyProblem, name: str) -> np.ndarray:
+    """The start field ``name`` names; a field whose values or energy are not
+    finite is a ConfigError."""
+    space = prob.space
     match = _START_RE.match(name.strip())
-    if match:
+    if name == "zero":
+        u = space.zero_field()
+    elif match:
         coef, k = match.group(1), int(match.group(2))
         c = float(coef) if coef not in ("", "+", "-") else float(coef + "1")
         with np.errstate(over="ignore", invalid="ignore"):
             u = c * space.eigenpairs(k)[k - 1][1]
         if not np.isfinite(u).all():
             raise ConfigError(f"bad start field {name!r}: values must be finite")
-        return u
-    if os.path.exists(name):
+    elif os.path.exists(name):
         try:
             with open(name) as fh:
-                return field_from_csv(space, fh.read())
+                u = field_from_csv(space, fh.read())
         except (OSError, ValueError, StopIteration) as exc:
             raise ConfigError(f"bad start field {name!r}: {exc or 'empty file'}") from exc
-    raise ConfigError(f"unrecognized start {name!r}; use zero, c*phi1, c*phi2, or a CSV path")
+    else:
+        raise ConfigError(f"unrecognized start {name!r}; use zero, c*phi1, c*phi2, or a CSV path")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(energy(prob, u)):
+            raise ConfigError(f"bad start field {name!r}: its energy is not finite")
+    return u
 
 
 def read_checkpoint(space, path: str) -> Checkpoint:
@@ -177,7 +185,7 @@ def _mu0_stage(cfg: RunConfig, prob, rng, run: _Run) -> tuple[float, tuple[float
     if fit.mu_star is None:
         source = "fallback: fitted C = 0"
     else:
-        capped = ", capped at 0.9" if fit.mu_star >= 0.9 else ""
+        capped = f", capped at {MU_STAR_CAP}" if fit.mu_star >= MU_STAR_CAP else ""
         source = f"fit: C = {max(fit.c):.6g}, mu* = {fit.mu_star:.6g}{capped}"
     if isinstance(cfg.mu0, float):
         run.log(f"given mu0 = {cfg.mu0:.6g} overrides the fitted {fit.mu0:.6g} ({source})")
@@ -244,8 +252,7 @@ def cmd_solve(cfg: RunConfig, run: _Run) -> int:
     if cfg.snapshots:
         def snapshot(iteration, mesh):
             run.write_text(f"surface_{iteration:03d}.csv",
-                           mesh.to_csv(prob, (f"config_hash={cfg.hash}",
-                                              f"iteration={iteration}")))
+                           mesh.to_csv(prob, (f"iteration={iteration}",)))
     run.stage = "minimax"
     try:
         report = minimax_iterate(prob, frame, replace(cfg.flow, mu0=mu0), rngs[3],
@@ -263,8 +270,7 @@ def cmd_solve(cfg: RunConfig, run: _Run) -> int:
     if report.candidate is not None:
         run.write_text("solution.csv",
                        field_to_csv(space, report.candidate,
-                                    (f"config_hash={cfg.hash}",
-                                     f"energy={report.candidate_energy!r}",
+                                    (f"energy={report.candidate_energy!r}",
                                      f"slope={report.candidate_slope!r}")))
     if not report.converged:
         run.log("stage minimax: not converged")
@@ -275,11 +281,11 @@ def cmd_solve(cfg: RunConfig, run: _Run) -> int:
 
 def cmd_flow(cfg: RunConfig, run: _Run, start: str, resume: str | None) -> int:
     space = build_space(cfg.grid)
+    prob = EnergyProblem(space, cfg.potential, cfg.lam)
     checkpoint = read_checkpoint(space, resume) if resume else None
-    u0 = None if resume else parse_start(space, start)
+    u0 = None if resume else parse_start(prob, start)
     run.open()
     rngs = _spawn_rngs(cfg.seed)
-    prob = EnergyProblem(space, cfg.potential, cfg.lam)
     mu0 = cfg.mu0 if isinstance(cfg.mu0, float) else _mu0_stage(cfg, prob, rngs[1], run)[0]
     flow_cfg = replace(cfg.flow, mu0=mu0)
     checkpoint_path = os.path.join(run.outdir, "checkpoint.json")
@@ -290,11 +296,9 @@ def cmd_flow(cfg: RunConfig, run: _Run, start: str, resume: str | None) -> int:
             run.log(f"resumed from {resume}")
         else:
             traj = integrate_flow(prob, u0, flow_cfg, checkpoint_path=checkpoint_path)
-    run.write_text("trajectory.csv", traj.to_csv((f"config_hash={cfg.hash}",)))
-    run.write_text("solution.csv",
-                   field_to_csv(space, traj.final.u,
-                                (f"config_hash={cfg.hash}",
-                                 f"termination={traj.termination.value}")))
+    run.write_text("trajectory.csv", traj.to_csv())
+    run.write_text("solution.csv", field_to_csv(space, traj.final.u,
+                                                (f"termination={traj.termination.value}",)))
     run.stage = "verdict"
     verdict = monitor_invariance(traj, mu0)
     run.write_json("flow_verdict.json",
@@ -309,14 +313,14 @@ def cmd_flow(cfg: RunConfig, run: _Run, start: str, resume: str | None) -> int:
 
 def cmd_verify(cfg: RunConfig, run: _Run, start: str | None) -> int:
     space = build_space(cfg.grid)
+    prob = EnergyProblem(space, cfg.potential, cfg.lam)
     # the PS monitor reads a stored trajectory or flows from a start field
     if start and start.endswith(".json"):
         stored = read_checkpoint(space, start).states
     else:
-        stored, u_start = None, parse_start(space, start or "0.5*phi1")
+        stored, u_start = None, parse_start(prob, start or "0.5*phi1")
     run.open()
     rngs = _spawn_rngs(cfg.seed)
-    prob = EnergyProblem(space, cfg.potential, cfg.lam)
     hyp, mu0, invariance, schauder_ok = _pre_stages(cfg, prob, rngs[1], run, write=False)
     sections: dict = {"hypotheses": hyp.to_dict()}
     ok = hyp.all_passed
@@ -370,17 +374,11 @@ def cmd_spectrum(cfg: RunConfig, run: _Run, k: int) -> int:
     space = build_space(cfg.grid)
     pairs = space.eigenpairs(k)
     run.open()
-    coords = space.grid.coords()
-    lines = [f"# config_hash={cfg.hash}",
-             "# lambdas=" + ",".join(repr(v) for v, _ in pairs)]
     names = ["x", "y"][: space.grid.dimension]
-    header = ",".join(names + [f"phi{i+1}" for i in range(k)])
-    rows = [header]
-    for idx in range(space.dim):
-        vals = [repr(float(c)) for c in coords[idx]]
-        vals += [repr(float(vec[idx])) for _, vec in pairs]
-        rows.append(",".join(vals))
-    run.write_text("spectrum.csv", "\n".join(lines + rows) + "\n")
+    run.write_text("spectrum.csv", csv_text(
+        ("lambdas=" + ",".join(repr(v) for v, _ in pairs),),
+        names + [f"phi{i+1}" for i in range(k)],
+        np.column_stack([space.grid.coords()] + [vec for _, vec in pairs]).tolist()))
     run.log(f"spectrum: wrote {k} eigenpairs")
     return EXIT_OK
 

@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .energy import subdifferential_box
 from .mesh import DiscreteSpace
 
 
@@ -376,8 +377,6 @@ def _selection_images(prob, u: np.ndarray, rng: np.random.Generator) -> list[np.
     """Riesz images lam*A^-1*M*w for extreme box selections w at u (lo, hi and
     two random corners); one image where the box is a point, since a repeated
     image decides no comparison."""
-    from .energy import subdifferential_box  # local import to avoid a cycle
-
     box = subdifferential_box(prob, u)
     space = prob.space
     picks = [box.lo]
@@ -451,10 +450,12 @@ def _excess(d_img: float, d: float, q: float) -> float:
 
 
 # Samples per ladder distance in the fit of C, the headroom the fitted C gets
-# for fresh samples, the slack of the worst-ratio test against 0.5, and the
-# fresh samples per sign the invariance check draws at mu0
+# for fresh samples, the cap on mu_star (mu0 is half the capped value), the
+# slack of the worst-ratio test against 0.5, and the fresh samples per sign
+# the invariance check draws at mu0
 FIT_PER_DISTANCE = 7
 FIT_HEADROOM = 1.2
+MU_STAR_CAP = 0.9
 RATIO_TOL = 1e-6
 SCHAUDER_SAMPLES = 100
 
@@ -476,8 +477,8 @@ def _fit_constant(prob, sign: int, rng: np.random.Generator) -> float:
 class InvarianceFit:
     """The constants (C for +P, C for -P), each with FIT_HEADROOM; mu_star, which
     solves mu/3 + C mu^(q-1) = mu/2 for the larger C (None where both are 0);
-    and mu0 = 0.5 * min(0.9, mu_star), or 0.45 where mu_star is None: the image
-    is then indistinguishable from the cone, and any mu0 < 1 works."""
+    and mu0 = 0.5 * min(MU_STAR_CAP, mu_star), half the cap where mu_star is
+    None: the image is then indistinguishable from the cone, and any mu0 < 1 works."""
     c: tuple[float, float]
     mu_star: float | None
     mu0: float
@@ -488,9 +489,9 @@ def fit_mu0(prob, rng: np.random.Generator) -> InvarianceFit:
     choose mu0 from the larger; check_schauder validates these constants."""
     c = tuple(_fit_constant(prob, sign, rng) * FIT_HEADROOM for sign in (1, -1))
     if max(c) <= 0:
-        return InvarianceFit(c, None, 0.45)
+        return InvarianceFit(c, None, 0.5 * MU_STAR_CAP)
     mu_star = (1.0 / (6.0 * max(c))) ** (1.0 / (prob.potential.q - 2.0))
-    return InvarianceFit(c, mu_star, 0.5 * min(0.9, mu_star))
+    return InvarianceFit(c, mu_star, 0.5 * min(MU_STAR_CAP, mu_star))
 
 
 def check_schauder(prob, mu0: float, c: tuple[float, float], sample_count: int,

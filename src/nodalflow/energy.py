@@ -12,14 +12,17 @@ outward normals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cones import ConeNeighborhood
 from .mesh import DiscreteSpace, MeshError
 from .potential import PiecewisePotential
+
+if TYPE_CHECKING:   # cones imports this module
+    from .cones import ConeNeighborhood
 
 SLOPE_TOL = 1e-10          # slope QP stop: norm of the unit-step projected gradient
 SLOPE_MAX_ITER = 100000    # slope QP iterations before SlopeError
@@ -170,10 +173,6 @@ def slope(prob: EnergyProblem, u: np.ndarray, w0: np.ndarray | None = None,
 # -- set-relative slope --------------------------------------------------------
 
 
-SetSpec = ConeNeighborhood | tuple[ConeNeighborhood, ConeNeighborhood] | None
-# None = whole space; a pair means the intersection D^+(mu) cap D^-(mu).
-
-
 @dataclass
 class SetSlopeResult:
     value: float
@@ -183,15 +182,17 @@ class SetSlopeResult:
     iterations: int
 
 
-def _set_signs(region: SetSpec) -> tuple[ConeNeighborhood, ...]:
+def _set_signs(region) -> tuple[ConeNeighborhood, ...]:
+    """D as cone neighborhoods: None is the whole space, a pair the
+    intersection D^+(mu) cap D^-(mu)."""
     if region is None:
         return ()
-    if isinstance(region, ConeNeighborhood):
-        return (region,)
-    return tuple(region)
+    return region if isinstance(region, tuple) else (region,)
 
 
-def slope_on_set(prob: EnergyProblem, u: np.ndarray, region: SetSpec) -> SetSlopeResult:
+def slope_on_set(prob: EnergyProblem, u: np.ndarray,
+                 region: ConeNeighborhood | tuple[ConeNeighborhood, ConeNeighborhood] | None
+                 ) -> SetSlopeResult:
     """m_D(u): inf over subgradients of the sup of <x*, u-y> over y in D near u.
 
     Uses the exact Fenchel splitting of the support function of (u-D) cap B(0,1):
@@ -282,11 +283,7 @@ class PSReport:
         return self.product_ok and self.energy_ok and self.cauchy_ok
 
     def to_dict(self) -> dict:
-        return {"product_tail": self.product_tail, "product_ok": self.product_ok,
-                "energy_spread": self.energy_spread, "energy_ok": self.energy_ok,
-                "cauchy_increment": self.cauchy_increment, "cauchy_ok": self.cauchy_ok,
-                "passed": self.passed, "energy_limit": self.energy_limit,
-                "slope_limit": self.slope_limit, "norm_limit": self.norm_limit}
+        return dict(asdict(self), passed=self.passed)
 
 
 def ps_monitor(space: DiscreteSpace, history) -> PSReport:

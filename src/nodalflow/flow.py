@@ -28,12 +28,13 @@ from __future__ import annotations
 import base64
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
+from ._serial import csv_text
 from .cones import RegionLabel, project_cone, region_of
 from .energy import EnergyProblem, SlopeResult, energy, slope
 from .mesh import DiscreteSpace
@@ -112,14 +113,9 @@ class Trajectory:
         return self.states[-1]
 
     def to_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        buf = io.StringIO()
-        for line in header_lines:
-            buf.write(f"# {line}\n")
-        buf.write("t,j,m,d_plus,d_minus,label,dt\n")
-        for s in self.states:
-            buf.write(f"{s.t!r},{s.j!r},{s.m!r},{s.d_plus!r},{s.d_minus!r},"
-                      f"{s.label.value},{s.dt_used!r}\n")
-        return buf.getvalue()
+        """One row per state: the keys of FlowState.summary, in its order."""
+        rows = [s.summary() for s in self.states]
+        return csv_text(header_lines, list(rows[0]), [row.values() for row in rows])
 
 
 def pseudo_gradient(prob: EnergyProblem, u: np.ndarray,
@@ -261,10 +257,7 @@ class InvarianceVerdict:
         return self.cone_invariant and self.energy_monotone and self.gronwall_ok
 
     def to_dict(self) -> dict:
-        return {"cone_invariant": self.cone_invariant,
-                "energy_monotone": self.energy_monotone,
-                "gronwall_ok": self.gronwall_ok,
-                "passed": self.passed, "violations": self.violations}
+        return dict(asdict(self), passed=self.passed)
 
 
 def monitor_invariance(traj: Trajectory, mu0: float) -> InvarianceVerdict:

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.sparse import diags as sp_diags
 from scipy.sparse.linalg import splu
 
+from ._serial import csv_text
 from .cones import RegionLabel, min_dist_to_cones, region_of
 from .energy import EnergyProblem, energies, slope
 from .flow import ENERGY_SLACK, FlowConfig, Termination, integrate_flow, make_state
@@ -130,12 +131,10 @@ def build_frame(prob: EnergyProblem, mu0: float, rng: np.random.Generator) -> Li
     """Scan for the linking pair: R with J < 0 on the radius-R eigen-plane arc,
     delta_T with J > 0 on the T sphere and T clear of both cone neighborhoods."""
     space = prob.space
-    pairs = space.eigenpairs(2)
-    (lam1, phi1), (lam2, phi2) = pairs[0], pairs[1]
-    hat1, hat2 = phi1 / np.sqrt(lam1), phi2 / np.sqrt(lam2)
+    (lam1, phi1), (lam2, phi2) = space.eigenpairs(2)
     # the unit arc, one angle per row; each radius scores its arc as one block
-    arc = np.array([np.cos(t) * hat1 + np.sin(t) * hat2
-                    for t in np.linspace(0.0, np.pi, SCAN_N_THETA)])
+    unit = LinkingFrame(phi1, phi2, lam1, lam2, 1.0, 0.0, mu0)
+    arc = unit.q_points([1.0], np.linspace(0.0, np.pi, SCAN_N_THETA))[0]
 
     def arc_max(radius: float) -> float:
         return float(np.max(energies(prob, radius * arc)))
@@ -176,7 +175,7 @@ def build_frame(prob: EnergyProblem, mu0: float, rng: np.random.Generator) -> Li
             "no T radius with positive energy clear of the cone neighborhoods",
             {"delta_profile": delta_profile, "radius": radius,
              "unit_cone_distance": unit_dist})
-    return LinkingFrame(phi1, phi2, lam1, lam2, radius, delta_t, mu0)
+    return replace(unit, radius=radius, delta_t=delta_t)
 
 
 def estimate_alpha_beta(prob: EnergyProblem, frame: LinkingFrame,
@@ -257,11 +256,8 @@ class SurfaceMesh:
     def to_csv(self, prob: EnergyProblem, header_lines: tuple[str, ...] = ()) -> str:
         """Energy matrix of the surface (rows rho, columns theta), for plotting."""
         js = self.energies(prob)
-        lines = [f"# {line}" for line in header_lines]
-        lines.append("rho\\theta," + ",".join(repr(float(t)) for t in self.theta))
-        for i, r in enumerate(self.rho):
-            lines.append(",".join([repr(float(r))] + [repr(float(v)) for v in js[i]]))
-        return "\n".join(lines) + "\n"
+        return csv_text(header_lines, ["rho\\theta", *self.theta.tolist()],
+                        np.column_stack([self.rho, js]).tolist())
 
 
 def deform_surface(prob: EnergyProblem, mesh: SurfaceMesh,

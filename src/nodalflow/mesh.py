@@ -8,7 +8,6 @@ the mass operator M the L^2 product u'Mv ~ int u v.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -17,6 +16,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
+
+from ._serial import csv_text
 
 
 class MeshError(ValueError):
@@ -277,15 +278,9 @@ def sign_changes(u: np.ndarray) -> int:
 def field_to_csv(space: DiscreteSpace, u: np.ndarray, header_lines: tuple[str, ...] = ()) -> str:
     """Serialize a field as CSV rows of node coordinates plus value."""
     u = space.check_field(u)
-    coords = space.grid.coords()
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
     names = ["x", "y"][: space.grid.dimension]
-    buf.write(",".join(names + ["value"]) + "\n")
-    for row, val in zip(coords, u):
-        buf.write(",".join(repr(float(c)) for c in row) + f",{float(val)!r}\n")
-    return buf.getvalue()
+    return csv_text(header_lines, names + ["value"],
+                    np.column_stack([space.grid.coords(), u]).tolist())
 
 
 def field_from_csv(space: DiscreteSpace, text: str) -> np.ndarray:

@@ -10,7 +10,7 @@ positive multiplicative coefficient evaluated at the node coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -266,9 +266,7 @@ class HypothesisCheck:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {"passed": bool(self.passed), "worst": float(self.worst),
-                "witness": None if self.witness is None else float(self.witness),
-                "note": self.note}
+        return asdict(self)
 
 
 @dataclass

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nodalflow as nf
+from nodalflow._serial import csv_text
 from nodalflow.cli import main, parse_start
 from nodalflow.cones import ProjectionError
 from nodalflow.config import _DEFAULTS, ConfigError, canonical_text, config_hash, load_config
@@ -52,20 +54,22 @@ def test_config_defaults_and_hash():
         load_config({"potential": "weird:1"})
 
 
-def test_parse_start(space_63, tmp_path):
-    assert np.array_equal(parse_start(space_63, "zero"), np.zeros(63))
+def test_parse_start(space_63, quartic_63, tmp_path):
+    assert np.array_equal(parse_start(quartic_63, "zero"), np.zeros(63))
     phi1 = space_63.eigenpairs(1)[0][1]
-    assert np.allclose(parse_start(space_63, "2.5*phi1"), 2.5 * phi1)
-    assert np.allclose(parse_start(space_63, "-phi2"),
+    assert np.allclose(parse_start(quartic_63, "2.5*phi1"), 2.5 * phi1)
+    assert np.allclose(parse_start(quartic_63, "-phi2"),
                        -space_63.eigenpairs(2)[1][1])
     u = np.linspace(-1, 1, 63)
     path = tmp_path / "field.csv"
     path.write_text(nf.field_to_csv(space_63, u))
-    assert np.array_equal(parse_start(space_63, str(path)), u)
-    # a coefficient needs a digit, so these are unrecognized starts
-    for name in ("nonsense", ".phi1", "e5*phi1", "+.phi2"):
+    assert np.array_equal(parse_start(quartic_63, str(path)), u)
+    # a coefficient needs a digit, so these are unrecognized starts; a CSV
+    # field of finite values can still have an energy that overflows
+    path.write_text(nf.field_to_csv(space_63, 1e100 * u))
+    for name in ("nonsense", ".phi1", "e5*phi1", "+.phi2", str(path)):
         with pytest.raises(ConfigError):
-            parse_start(space_63, name)
+            parse_start(quartic_63, name)
 
 
 @pytest.mark.parametrize("command", ["flow", "verify"])
@@ -383,6 +387,45 @@ def test_block_energies_leave_solve_artifacts_unchanged(tmp_path, monkeypatch, g
         assert (block / name).read_bytes() == (single / name).read_bytes(), name
 
 
+def test_csv_text_layout():
+    # header lines, the column line, then the rows; np.float64 is written as a float
+    text = csv_text(("a=1", "b"), ["x", 0.5], [[np.float64(0.1), "s"], (1e-300, -0.0)])
+    assert text == "# a=1\n# b\nx,0.5\n0.1,s\n1e-300,-0.0\n"
+
+
+def test_every_csv_artifact_is_stamped_and_reads_back_bit_for_bit(tmp_path):
+    # surface snapshots of a 1D and a 2D solve, a flow, and a spectrum
+    line = {"dimension": 1, "bounds": [0.0, 1.0], "n": 63}
+    rect = {"dimension": 2, "bounds": [[0.0, 2.0], [0.0, 1.0]], "n": [15, 7]}
+    runs = [("solve", line, {"linking": {"snapshots": True}}, []),
+            ("solve", rect, {"linking": {"snapshots": True}}, []),
+            ("flow", line, {"mu0": 0.3, "flow": {"max_steps": 50}}, ["--start", "2*phi1"]),
+            ("spectrum", rect, {}, ["--k", "3"])]
+    expected = {"solve": {"solution.csv", "surface_000.csv"},
+                "flow": {"solution.csv", "trajectory.csv"}, "spectrum": {"spectrum.csv"}}
+    for i, (command, grid, overrides, args) in enumerate(runs):
+        work = tmp_path / str(i)
+        work.mkdir()
+        path, _ = small_config(work, grid=grid, seed=1, **overrides)
+        stamp = f"# config_hash={load_config(json.load(open(path))).hash}"
+        out = work / "out"
+        assert main([command, "--config", path, "--out", str(out), *args]) == 0
+        names = {p.name for p in out.glob("*.csv")}
+        assert expected[command] <= names
+        for name in names:
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == stamp, name
+            for row in lines:
+                if row.startswith("#"):
+                    continue
+                for cell in row.split(","):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue   # a column name or a region label
+                    assert float.__repr__(value) == cell, (name, cell)
+
+
 def test_2d_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the 39x19 rectangle has the double eigenvalue lambda_5 = lambda_6 among
     # the T modes; a dense eigensolver gave it a basis that moved with the
@@ -585,17 +628,30 @@ def test_non_finite_start_csv_exits_2_without_output(tmp_path, capsys, space_63,
 
 
 @pytest.mark.parametrize("command", ["flow", "verify"])
-@pytest.mark.parametrize("start", ["1e400*phi1", "1.7e308*phi2"])
+@pytest.mark.parametrize("start", ["1e400*phi1", "1.7e308*phi2", "1e308*phi1", "1e150*phi1"])
 def test_start_coefficient_that_overflows_exits_2_without_output(tmp_path, capsys,
                                                                 command, start):
-    # an infinite coefficient, and a finite one whose field overflows
+    # an infinite coefficient, a finite one whose field overflows, and finite
+    # fields whose energy overflows: no warning, no output, one line
     path, _ = small_config(tmp_path, mu0=0.3,
                            grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 15})
     out = tmp_path / "never"
-    assert main([command, "--config", path, "--start", start, "--out", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", path, "--start", start, "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, report", [("flow", "flow_verdict.json"),
+                                             ("verify", "verify_report.json")])
+def test_large_start_with_finite_energy_runs(tmp_path, command, report):
+    path, _ = small_config(tmp_path, mu0=0.3,
+                           grid={"dimension": 1, "bounds": [0.0, 1.0], "n": 15})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--start", "1e50*phi1", "--out", str(out)]) != 2
+    assert (out / report).exists()
 
 
 @pytest.mark.parametrize("command", ["flow", "verify"])

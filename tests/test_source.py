@@ -73,6 +73,39 @@ def test_no_private_imports_across_modules(module):
     assert private_imports((SRC / module).read_text()) == []
 
 
+def function_imports(source: str) -> list[str]:
+    """Package modules that ``source`` imports inside a function."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").partition(".")[0] == "nodalflow"):
+                found.add(f"{'.' * node.level}{node.module or ''} (line {node.lineno})")
+            elif isinstance(node, ast.Import):
+                found.update(f"{alias.name} (line {node.lineno})" for alias in node.names
+                             if alias.name.partition(".")[0] == "nodalflow")
+    return sorted(found)
+
+
+def test_function_import_detector():
+    source = ("from .mesh import build_space\nimport nodalflow\n"
+              "def f():\n    from .energy import slope\n"
+              "    from scipy.optimize import minimize\n    import nodalflow.flow, json\n"
+              "    def g():\n        from nodalflow import cones\n"
+              "class C:\n    def m(self):\n        from . import linking\n")
+    assert function_imports(source) == [". (line 11)", ".energy (line 4)",
+                                        "nodalflow (line 8)", "nodalflow.flow (line 6)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_package_imports_inside_functions(module):
+    # a module that needs another imports it at the top, so an import cycle
+    # shows at import time instead of hiding in a function
+    assert function_imports((SRC / module).read_text()) == []
+
+
 def unread_names(sources: list[str], names: list[str]) -> list[str]:
     """The ``names`` that no source in ``sources`` reads, as a name or an attribute."""
     read = set()
